@@ -36,7 +36,7 @@
 
 use crate::races::serializability_check;
 use crate::{dataflow, Violation};
-use haten2_mapreduce::{Env, JobGraph};
+use haten2_mapreduce::{Env, JobGraph, PlanJob, SymExpr};
 use haten2_srcscan::effects::{check_model, EffectModel};
 
 /// The rewrite rules this pass can fire, with rationale — the fixture
@@ -225,19 +225,70 @@ pub fn certify_rewrite(rewrite: &dyn PlanRewrite, graph: &JobGraph, envs: &[Env]
 /// commutative-associative (`PlanJob::comm_assoc`): pre-combining slices
 /// in any grouping must not change the reduced output.
 ///
-/// The transform itself lives in
-/// [`haten2_mapreduce::rewrite::heavy_key_split`] and is shared with the
-/// runtime: the pipelines submit the *same* rewritten graph this certifier
-/// checks (gated through `haten2_core::certified_rewrite_for`), so the
-/// executed graph cannot drift from the certified one.
+/// The transform is static-only: the pipelines always submit their
+/// unrewritten plans (a measured runtime split lost to the unsplit merge
+/// on every input; see DESIGN.md §12), and the transform is private to
+/// this module, so no runtime crate can apply it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HeavyKeySplit;
 
 /// Index of the job [`HeavyKeySplit`] targets: the last single-instance
-/// comm-assoc job that writes a graph output. Delegates to the shared
-/// runtime transform's target selection.
+/// comm-assoc job that writes a graph output. `None` means the rewrite is
+/// the identity (e.g. the Naive/DNN pipelines, whose final writers are
+/// per-rank job families).
 fn split_target(graph: &JobGraph) -> Option<usize> {
-    haten2_mapreduce::rewrite::heavy_key_split_target(graph)
+    graph.jobs.iter().rposition(|j| {
+        j.comm_assoc
+            && j.writes.iter().any(|w| graph.outputs.contains(w))
+            && j.count == SymExpr::c(1)
+    })
+}
+
+/// The split instances and the `mergeparts` reassembly job that replace
+/// `target`. Split instance `i` pre-combines its hash slice map-side into
+/// shard `…__part#i`; the merge re-shuffles the `M` partials.
+fn split_jobs(target: &PlanJob) -> (PlanJob, PlanJob) {
+    let m = SymExpr::machines();
+    let part_shard = format!("{}__part#{{}}", target.writes[0]);
+    // Each split instance shuffles records/M of the merge's records; floor
+    // division makes the cost an upper bound, not generic-position exact.
+    let mut split = PlanJob::new(format!("{}-split{{}}", target.name))
+        .repeat(m.clone())
+        .emits(
+            target.records.clone() / m.clone(),
+            target.bytes.clone() / m.clone(),
+        )
+        .upper_bound();
+    // The second shuffle of the M pre-combined partials is the entire
+    // declared inflation.
+    let mut merge = PlanJob::new(format!("{}-mergeparts", target.name))
+        .emits(
+            m.clone() * (target.records.clone() / m.clone()),
+            m.clone() * (target.bytes.clone() / m),
+        )
+        .upper_bound();
+    if let Some(op) = &target.op {
+        split = split.op(op);
+        merge = merge.op(op);
+    }
+    split.reads = target.reads.clone();
+    split.writes = vec![part_shard.clone()];
+    split.comm_assoc = target.comm_assoc;
+    merge.reads = vec![part_shard];
+    merge.writes = target.writes.clone();
+    merge.comm_assoc = target.comm_assoc;
+    (split, merge)
+}
+
+/// Replace the [`split_target`] merge with `machines` split instances plus
+/// a `mergeparts` pass. Returns the graph unchanged when no target exists.
+fn heavy_key_split(graph: &JobGraph) -> JobGraph {
+    let mut out = graph.clone();
+    if let Some(at) = split_target(graph) {
+        let (split, merge) = split_jobs(&graph.jobs[at]);
+        out.jobs.splice(at..=at, [split, merge]);
+    }
+    out
 }
 
 impl PlanRewrite for HeavyKeySplit {
@@ -250,7 +301,7 @@ impl PlanRewrite for HeavyKeySplit {
     }
 
     fn apply(&self, graph: &JobGraph) -> JobGraph {
-        haten2_mapreduce::rewrite::heavy_key_split(graph)
+        heavy_key_split(graph)
     }
 }
 
@@ -406,31 +457,58 @@ mod tests {
         }
     }
 
+    fn merge_graph() -> JobGraph {
+        JobGraph::new("demo", [])
+            .big_input("x")
+            .output("y")
+            .job(
+                PlanJob::new("demo-expand{}")
+                    .repeat(SymExpr::rank_r())
+                    .reads(["x"])
+                    .writes(["t"])
+                    .op("hadamard_vec_job")
+                    .emits(SymExpr::nnz(), SymExpr::c(16) * SymExpr::nnz()),
+            )
+            .job(
+                PlanJob::new("demo-merge")
+                    .reads(["t"])
+                    .writes(["y"])
+                    .op("cross_merge_job")
+                    .comm_assoc()
+                    .emits(SymExpr::nnz(), SymExpr::c(16) * SymExpr::nnz()),
+            )
+    }
+
     #[test]
-    fn every_runtime_certification_record_is_certified_here() {
-        // The runtime's rewrite gate (haten2_core::CERTIFIED_REWRITES /
-        // certified_rewrite_for) admits exactly the (graph, rewrite) pairs
-        // in that table. Each such pair must actually certify under this
-        // pass on every regime environment — otherwise the runtime could
-        // submit a "certified" graph the analyzer would reject.
-        let envs = regime_envs();
-        for &(graph_name, rewrite_name) in haten2_core::CERTIFIED_REWRITES {
-            let plan = Decomp::ALL
-                .iter()
-                .flat_map(|&d| Variant::ALL.iter().map(move |&v| plan_for(d, v)))
-                .find(|g| g.name == graph_name)
-                .unwrap_or_else(|| panic!("no pipeline plan named '{graph_name}'"));
-            let rw = rewrite_by_name(rewrite_name)
-                .unwrap_or_else(|| panic!("no rewrite named '{rewrite_name}'"));
-            let cert = certify_rewrite(rw.as_ref(), &plan, &envs);
-            assert!(
-                cert.certified(),
-                "{rewrite_name} on {graph_name}: {:?}",
-                cert.violations
-            );
-            // The record is not vacuous: the rewrite transforms the graph.
-            assert_eq!(cert.rewritten.jobs.len(), plan.jobs.len() + 1);
-        }
+    fn split_replaces_the_final_merge() {
+        let g = merge_graph();
+        assert_eq!(split_target(&g), Some(1));
+        let rw = heavy_key_split(&g);
+        assert_eq!(rw.jobs.len(), g.jobs.len() + 1);
+        let names: Vec<&str> = rw.jobs.iter().map(|j| j.name.as_str()).collect();
+        assert!(names.contains(&"demo-merge-split{}"));
+        assert!(names.contains(&"demo-merge-mergeparts"));
+        assert!(!names.contains(&"demo-merge"));
+        // Split instances write per-slice shards; mergeparts reassembles
+        // the original output.
+        assert_eq!(rw.jobs[1].writes, ["y__part#{}"]);
+        assert_eq!(rw.jobs[2].reads, ["y__part#{}"]);
+        assert_eq!(rw.jobs[2].writes, ["y"]);
+    }
+
+    #[test]
+    fn no_single_instance_merge_means_identity() {
+        let g = JobGraph::new("flat", []).big_input("x").output("y").job(
+            PlanJob::new("flat-col{}")
+                .repeat(SymExpr::rank_r())
+                .reads(["x"])
+                .writes(["y"])
+                .op("collapse_job")
+                .comm_assoc()
+                .emits(SymExpr::nnz(), SymExpr::c(8) * SymExpr::nnz()),
+        );
+        assert_eq!(split_target(&g), None);
+        assert_eq!(heavy_key_split(&g).jobs.len(), g.jobs.len());
     }
 
     #[test]

@@ -29,7 +29,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod experiments;
-pub mod seed_engine;
 pub mod table;
 
 pub use table::ExpTable;

@@ -35,7 +35,7 @@
 use crate::records::{HadVal, ImhpRec, ImhpVal, Ix4, MergeVal, NaiveVal, TvRec};
 use haten2_linalg::Mat;
 use haten2_mapreduce::{
-    key_slice, run_job, run_job_streaming, EstimateSize, JobSite, JobSpec, MrError, Result,
+    run_job, run_job_streaming, EstimateSize, JobSite, JobSpec, MrError, Result,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -400,138 +400,6 @@ pub fn pairwise_merge_job(
                 if y != 0.0 {
                     emit((*i, r, 0u64, 0u64), y);
                 }
-            }
-        },
-    )?;
-    Ok(out)
-}
-
-/// One split instance of the `heavy-key-split` two-phase rewrite of
-/// [`cross_merge_job`]: maps the **full** merge input but emits only the
-/// records whose target-mode index hashes to `slice` (of `slices`,
-/// assigned by [`key_slice`] — the same FNV-1a the shuffle partitioner
-/// uses), then runs the unmodified cross-merge reduce on those whole key
-/// groups. Because slices are whole groups, every group is still reduced
-/// in one piece with the same value order as the unrewritten job, so the
-/// `…__part#slice` shards concatenated in slice order reassemble
-/// (via [`merge_parts_job`]) to the bit-identical unrewritten output.
-pub fn cross_merge_split_job(
-    site: &impl JobSite,
-    name: &str,
-    t_prime: &[(Ix4, f64)],
-    t_dprime: &[(Ix4, f64)],
-    slice: usize,
-    slices: usize,
-) -> Result<Vec<(Ix4, f64)>> {
-    let input = merge_input(t_prime, t_dprime);
-    let out = run_job(
-        site,
-        JobSpec::named(name.to_string()),
-        &input,
-        move |_, rec: &MergeVal, emit| {
-            if key_slice(&rec.i, slices) == slice {
-                emit(rec.i, rec.clone());
-            }
-        },
-        |i, vals, emit| {
-            // Identical to cross_merge_job's reducer: whole-group
-            // reduction keeps f64 accumulation order, and with it
-            // bit-identity.
-            let mut by_jk: HashMap<(u64, u64), Vec<(u64, f64)>> = HashMap::new();
-            for v in &vals {
-                if v.side == 1 {
-                    by_jk.entry((v.j, v.k)).or_default().push((v.d, v.v));
-                }
-            }
-            // BTreeMap: iterated into emits below (see cross_merge_job).
-            let mut acc: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-            for v in &vals {
-                if v.side == 0 {
-                    if let Some(rs) = by_jk.get(&(v.j, v.k)) {
-                        for &(r, w) in rs {
-                            *acc.entry((v.d, r)).or_insert(0.0) += v.v * w;
-                        }
-                    }
-                }
-            }
-            for ((q, r), y) in acc {
-                if y != 0.0 {
-                    emit((*i, q, r, 0u64), y);
-                }
-            }
-        },
-    )?;
-    Ok(out)
-}
-
-/// One split instance of the `heavy-key-split` rewrite of
-/// [`pairwise_merge_job`] — see [`cross_merge_split_job`] for the slicing
-/// and bit-identity argument.
-pub fn pairwise_merge_split_job(
-    site: &impl JobSite,
-    name: &str,
-    t_prime: &[(Ix4, f64)],
-    t_dprime: &[(Ix4, f64)],
-    slice: usize,
-    slices: usize,
-) -> Result<Vec<(Ix4, f64)>> {
-    let input = merge_input(t_prime, t_dprime);
-    let out = run_job(
-        site,
-        JobSpec::named(name.to_string()),
-        &input,
-        move |_, rec: &MergeVal, emit| {
-            if key_slice(&rec.i, slices) == slice {
-                emit(rec.i, rec.clone());
-            }
-        },
-        |i, vals, emit| {
-            // Identical to pairwise_merge_job's reducer.
-            let mut by_jkr: HashMap<(u64, u64, u64), f64> = HashMap::new();
-            for v in &vals {
-                if v.side == 1 {
-                    *by_jkr.entry((v.j, v.k, v.d)).or_insert(0.0) += v.v;
-                }
-            }
-            // BTreeMap: iterated into emits below (see cross_merge_job).
-            let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
-            for v in &vals {
-                if v.side == 0 {
-                    if let Some(&w) = by_jkr.get(&(v.j, v.k, v.d)) {
-                        *acc.entry(v.d).or_insert(0.0) += v.v * w;
-                    }
-                }
-            }
-            for (r, y) in acc {
-                if y != 0.0 {
-                    emit((*i, r, 0u64, 0u64), y);
-                }
-            }
-        },
-    )?;
-    Ok(out)
-}
-
-/// The `mergeparts` reassembly pass of the `heavy-key-split` rewrite:
-/// re-keys the concatenated per-slice partials on the target-mode index
-/// and re-emits every record **in arrival order**. All records of one
-/// reduce key live in exactly one slice (the hash assigns whole groups),
-/// arrive contiguous in that slice's emission order, and leave the same
-/// way; with the same partitioner and key ordering as the original merge,
-/// the reassembled dataset is byte-for-byte the unrewritten job's output.
-pub fn merge_parts_job(
-    site: &impl JobSite,
-    name: &str,
-    parts: &[(Ix4, f64)],
-) -> Result<Vec<(Ix4, f64)>> {
-    let out = run_job(
-        site,
-        JobSpec::named(name.to_string()),
-        parts,
-        |ix: &Ix4, v: &f64, emit| emit(ix.0, (*ix, *v)),
-        |_, vals, emit| {
-            for (ix, v) in vals {
-                emit(ix, v);
             }
         },
     )?;

@@ -15,15 +15,12 @@
 //! | DRI     | `2·nnz·R`        | `2`    | `2`           |
 
 use crate::canon::canonicalize;
-use crate::ops::{
-    collapse_job, hadamard_vec_job, imhp_job, merge_parts_job, naive_ttv_job, pairwise_merge_job,
-    pairwise_merge_split_job,
-};
-use crate::plan::{certified_rewrite_for, plan_for, Decomp};
+use crate::ops::{collapse_job, hadamard_vec_job, imhp_job, naive_ttv_job, pairwise_merge_job};
+use crate::plan::{plan_for, Decomp};
 use crate::records::{tensor_records, Ix4};
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
-use haten2_mapreduce::{Batch, Cluster, KeyFreqSketch};
+use haten2_mapreduce::{Batch, Cluster};
 use haten2_tensor::CooTensor3;
 
 /// Compute the MTTKRP `M ← X₍ₙ₎ (F₂ ⊙ F₁)` for target mode `n` using the
@@ -91,25 +88,6 @@ pub fn mttkrp(
     let x_records = tensor_records(&xc);
     let mut m = Mat::zeros(d0 as usize, r_dim);
     let graph = plan_for(Decomp::Parafac, variant);
-
-    // Skew-aware runtime rewrite — see [`crate::tucker::project`]: sketch
-    // the final merge's reduce-key frequencies, and when the cluster's
-    // rewrite policy fires, submit the analyzer-certified
-    // `heavy-key-split` plan (bit-identical outputs, concurrent splits
-    // instead of one straggling merge). Naive/DNN have no certification
-    // record and never rewrite.
-    let mut sketch = KeyFreqSketch::new(cluster.config().machines.max(1));
-    for (ix, _) in &x_records {
-        sketch.observe(&ix.0);
-    }
-    let rewritten = cluster
-        .config()
-        .rewrite
-        .should_rewrite(&sketch)
-        .then(|| certified_rewrite_for(&graph, "heavy-key-split"))
-        .flatten();
-    let rewrite = rewritten.is_some();
-    let graph = rewritten.unwrap_or(graph);
 
     match variant {
         Variant::Naive => {
@@ -226,76 +204,26 @@ pub fn mttkrp(
                     },
                 )?);
             }
-            let y = if rewrite {
-                // Two-phase aggregation: per-slice splits cost-hinted with
-                // the sketch's slice counts, then mergeparts.
-                let msl = sketch.width();
-                let mut split_parts = Vec::with_capacity(msl);
-                for s in 0..msl {
-                    let name = format!("parafac-drn-pairwisemerge-split{s}");
+            let y = batch.submit(
+                "parafac-drn-pairwisemerge",
+                vec!["t_prime".into(), "t_dprime".into()],
+                vec!["y".into()],
+                {
                     let tp = tp.clone();
                     let tdp = tdp.clone();
-                    let split_h = batch.submit(
-                        name.clone(),
-                        vec!["t_prime".into(), "t_dprime".into()],
-                        vec![format!("y__part#{s}")],
-                        move |ctx| {
-                            let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tp {
-                                t_prime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tdp {
-                                t_dprime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            pairwise_merge_split_job(ctx, &name, &t_prime, &t_dprime, s, msl)
-                        },
-                    )?;
-                    batch.set_cost_hint(&split_h, sketch.bucket(s) as f64);
-                    split_parts.push(split_h);
-                }
-                batch.submit(
-                    "parafac-drn-pairwisemerge-mergeparts",
-                    vec!["y__part".into()],
-                    vec!["y".into()],
-                    {
-                        let split_parts = split_parts.clone();
-                        move |ctx| {
-                            let mut all: Vec<(Ix4, f64)> = Vec::new();
-                            for ph in &split_parts {
-                                all.extend(ctx.get(ph)?.iter().copied());
-                            }
-                            merge_parts_job(ctx, "parafac-drn-pairwisemerge-mergeparts", &all)
+                    move |ctx| {
+                        let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
+                        for h in &tp {
+                            t_prime.extend(ctx.get(h)?.iter().copied());
                         }
-                    },
-                )?
-            } else {
-                batch.submit(
-                    "parafac-drn-pairwisemerge",
-                    vec!["t_prime".into(), "t_dprime".into()],
-                    vec!["y".into()],
-                    {
-                        let tp = tp.clone();
-                        let tdp = tdp.clone();
-                        move |ctx| {
-                            let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tp {
-                                t_prime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tdp {
-                                t_dprime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            pairwise_merge_job(
-                                ctx,
-                                "parafac-drn-pairwisemerge",
-                                &t_prime,
-                                &t_dprime,
-                            )
+                        let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
+                        for h in &tdp {
+                            t_dprime.extend(ctx.get(h)?.iter().copied());
                         }
-                    },
-                )?
-            };
+                        pairwise_merge_job(ctx, "parafac-drn-pairwisemerge", &t_prime, &t_dprime)
+                    }
+                },
+            )?;
             batch.run(cluster)?;
             accumulate_pairs(&mut m, &y.take()?);
         }
@@ -315,53 +243,18 @@ pub fn mttkrp(
                     move |ctx| imhp_job(ctx, "parafac-dri-imhp", x_records, bt, ct)
                 },
             )?;
-            let y = if rewrite {
-                let msl = sketch.width();
-                let mut split_parts = Vec::with_capacity(msl);
-                for s in 0..msl {
-                    let name = format!("parafac-dri-pairwisemerge-split{s}");
+            let y = batch.submit(
+                "parafac-dri-pairwisemerge",
+                vec!["t_prime".into(), "t_dprime".into()],
+                vec!["y".into()],
+                {
                     let imhp = imhp.clone();
-                    let split_h = batch.submit(
-                        name.clone(),
-                        vec!["t_prime".into(), "t_dprime".into()],
-                        vec![format!("y__part#{s}")],
-                        move |ctx| {
-                            let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                            pairwise_merge_split_job(ctx, &name, t_prime, t_dprime, s, msl)
-                        },
-                    )?;
-                    batch.set_cost_hint(&split_h, sketch.bucket(s) as f64);
-                    split_parts.push(split_h);
-                }
-                batch.submit(
-                    "parafac-dri-pairwisemerge-mergeparts",
-                    vec!["y__part".into()],
-                    vec!["y".into()],
-                    {
-                        let split_parts = split_parts.clone();
-                        move |ctx| {
-                            let mut all: Vec<(Ix4, f64)> = Vec::new();
-                            for ph in &split_parts {
-                                all.extend(ctx.get(ph)?.iter().copied());
-                            }
-                            merge_parts_job(ctx, "parafac-dri-pairwisemerge-mergeparts", &all)
-                        }
-                    },
-                )?
-            } else {
-                batch.submit(
-                    "parafac-dri-pairwisemerge",
-                    vec!["t_prime".into(), "t_dprime".into()],
-                    vec!["y".into()],
-                    {
-                        let imhp = imhp.clone();
-                        move |ctx| {
-                            let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                            pairwise_merge_job(ctx, "parafac-dri-pairwisemerge", t_prime, t_dprime)
-                        }
-                    },
-                )?
-            };
+                    move |ctx| {
+                        let (t_prime, t_dprime) = ctx.get(&imhp)?;
+                        pairwise_merge_job(ctx, "parafac-dri-pairwisemerge", t_prime, t_dprime)
+                    }
+                },
+            )?;
             batch.run(cluster)?;
             accumulate_pairs(&mut m, &y.take()?);
         }
@@ -516,80 +409,6 @@ mod tests {
         assert!(inter[&Variant::Dnn] <= inter[&Variant::Drn]);
         assert!(jobs[&Variant::Dri] < jobs[&Variant::Drn]);
         assert!(jobs[&Variant::Drn] < jobs[&Variant::Dnn]);
-    }
-
-    #[test]
-    fn rewritten_plan_is_bit_identical_to_unrewritten() {
-        use haten2_mapreduce::{RewritePolicy, SchedulerMode};
-        let x = random_coo([12, 5, 4], 80, 91);
-        let mut rng = StdRng::seed_from_u64(92);
-        let b = Mat::random(5, 3, &mut rng);
-        let c = Mat::random(4, 3, &mut rng);
-        for variant in [Variant::Drn, Variant::Dri] {
-            let mut outs: Vec<Vec<u64>> = Vec::new();
-            for (policy, sched) in [
-                (RewritePolicy::Off, SchedulerMode::Sequential),
-                (RewritePolicy::Always, SchedulerMode::Sequential),
-                (RewritePolicy::Always, SchedulerMode::Dag),
-            ] {
-                let mut cfg = ClusterConfig::with_machines(4);
-                cfg.rewrite = policy;
-                cfg.scheduler = sched;
-                let cluster = Cluster::new(cfg);
-                let m = mttkrp(&cluster, variant, &x, 0, &b, &c).unwrap();
-                let mut bits = Vec::with_capacity(m.rows() * m.cols());
-                for i in 0..m.rows() {
-                    for r in 0..m.cols() {
-                        bits.push(m.get(i, r).to_bits());
-                    }
-                }
-                outs.push(bits);
-            }
-            assert_eq!(outs[0], outs[1], "{variant}: rewrite broke bit-identity");
-            assert_eq!(
-                outs[0], outs[2],
-                "{variant}: DAG rewrite broke bit-identity"
-            );
-        }
-    }
-
-    #[test]
-    fn auto_policy_rewrites_only_under_skew() {
-        use haten2_mapreduce::RewritePolicy;
-        let r_dim = 2;
-        let mut rng = StdRng::seed_from_u64(93);
-        // Skewed: a 10×10 dense slab at i = 0 plus a few scattered entries
-        // — one reduce key owns ~96% of the merge input.
-        let mut entries: Vec<Entry3> = Vec::new();
-        for j in 0..10 {
-            for k in 0..10 {
-                entries.push(Entry3::new(0, j, k, rng.gen_range(0.5..2.0)));
-            }
-        }
-        for i in 1..4 {
-            entries.push(Entry3::new(i, 0, 0, 1.0));
-        }
-        let skewed = CooTensor3::from_entries([40, 10, 10], entries).unwrap();
-        let b = Mat::random(10, r_dim, &mut rng);
-        let c = Mat::random(10, r_dim, &mut rng);
-        let machines = 4;
-        let auto_cfg = || {
-            let mut cfg = ClusterConfig::with_machines(machines);
-            cfg.rewrite = RewritePolicy::Auto {
-                skew_threshold: 2.0,
-            };
-            cfg
-        };
-        let cluster = Cluster::new(auto_cfg());
-        mttkrp(&cluster, Variant::Dri, &skewed, 0, &b, &c).unwrap();
-        // IMHP + `machines` splits + mergeparts: the rewrite fired.
-        assert_eq!(cluster.metrics().total_jobs(), 2 + machines);
-
-        // Uniform tensor at the same policy: plan submitted unrewritten.
-        let uniform = random_coo([40, 10, 10], 200, 94);
-        let cluster = Cluster::new(auto_cfg());
-        mttkrp(&cluster, Variant::Dri, &uniform, 0, &b, &c).unwrap();
-        assert_eq!(cluster.metrics().total_jobs(), 2);
     }
 
     #[test]

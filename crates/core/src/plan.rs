@@ -546,16 +546,6 @@ pub const COMM_ASSOC_REDUCERS: &[ReducerAnnotation] = &[
         reduce: sum_fold,
     },
     ReducerAnnotation {
-        site: "cross_merge_split_job",
-        summary: "per-slice partial of the CrossMerge fold (heavy-key-split phase 1)",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
-        site: "pairwise_merge_split_job",
-        summary: "per-slice partial of the PairwiseMerge fold (heavy-key-split phase 1)",
-        reduce: sum_fold,
-    },
-    ReducerAnnotation {
         site: "model_inner_product_job",
         summary: "partial inner products ⟨X, X̂⟩ per target-mode slice",
         reduce: sum_fold,
@@ -581,42 +571,6 @@ pub fn is_comm_assoc_site(site: &str) -> bool {
 /// The annotation registered for `site`, when there is one.
 pub fn comm_assoc_annotation(site: &str) -> Option<&'static ReducerAnnotation> {
     COMM_ASSOC_REDUCERS.iter().find(|a| a.site == site)
-}
-
-/// Certification records for runtime-applicable plan rewrites: every
-/// `(graph name, rewrite name)` pair a pipeline is allowed to submit
-/// rewritten. An entry asserts that `cargo xtask analyze` certifies the
-/// rewrite on that graph (dataflow-sound, race-free, shuffle volume within
-/// the declared inflation) — the analyzer's coverage test applies
-/// `certify_rewrite` to every row of this table, so an uncertifiable
-/// entry cannot land. Only the four merge-final pipelines are listed: the
-/// Naive/DNN finals are per-rank job families, on which `heavy-key-split`
-/// is the identity.
-pub const CERTIFIED_REWRITES: &[(&str, &str)] = &[
-    ("tucker-drn", "heavy-key-split"),
-    ("tucker-dri", "heavy-key-split"),
-    ("parafac-drn", "heavy-key-split"),
-    ("parafac-dri", "heavy-key-split"),
-];
-
-/// Apply a certified rewrite to `graph` at submission time. Returns the
-/// rewritten graph only when `(graph.name, rewrite)` has a certification
-/// record in [`CERTIFIED_REWRITES`]; `None` means the rewrite is not
-/// certified for this pipeline and the caller must submit the original
-/// plan. This is the **only** sanctioned path from a pipeline to a
-/// rewritten graph — the `no-uncertified-rewrite` source lint rejects
-/// direct calls to the raw transform outside the certification machinery.
-pub fn certified_rewrite_for(graph: &JobGraph, rewrite: &str) -> Option<JobGraph> {
-    let certified = CERTIFIED_REWRITES
-        .iter()
-        .any(|&(g, r)| g == graph.name && r == rewrite);
-    if !certified {
-        return None;
-    }
-    match rewrite {
-        "heavy-key-split" => Some(haten2_mapreduce::rewrite::heavy_key_split(graph)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -774,33 +728,6 @@ mod tests {
                 assert_eq!(cp.sweeps, 3);
             }
         }
-    }
-
-    #[test]
-    fn certified_rewrite_gate_admits_only_recorded_pairs() {
-        // Every recorded pair rewrites its graph into split + mergeparts…
-        for &(graph_name, rewrite) in CERTIFIED_REWRITES {
-            let (decomp, variant) = match graph_name {
-                "tucker-drn" => (Decomp::Tucker, Variant::Drn),
-                "tucker-dri" => (Decomp::Tucker, Variant::Dri),
-                "parafac-drn" => (Decomp::Parafac, Variant::Drn),
-                "parafac-dri" => (Decomp::Parafac, Variant::Dri),
-                other => panic!("unmapped certification record '{other}'"),
-            };
-            let g = plan_for(decomp, variant);
-            let rw = certified_rewrite_for(&g, rewrite)
-                .unwrap_or_else(|| panic!("{graph_name}: certified rewrite refused"));
-            assert_eq!(rw.jobs.len(), g.jobs.len() + 1, "{graph_name}");
-            assert!(
-                rw.jobs.iter().any(|j| j.name.ends_with("-mergeparts")),
-                "{graph_name}"
-            );
-        }
-        // …and unrecorded pairs are refused, whatever the graph shape.
-        let naive = plan_for(Decomp::Tucker, Variant::Naive);
-        assert!(certified_rewrite_for(&naive, "heavy-key-split").is_none());
-        let dri = plan_for(Decomp::Tucker, Variant::Dri);
-        assert!(certified_rewrite_for(&dri, "no-such-rewrite").is_none());
     }
 
     #[test]

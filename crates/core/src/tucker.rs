@@ -18,15 +18,12 @@
 //! | DRI     | `nnz·(Q+R)`      | `2`     | `2`           |
 
 use crate::canon::canonicalize;
-use crate::ops::{
-    collapse_job, cross_merge_job, cross_merge_split_job, hadamard_vec_job, imhp_job,
-    merge_parts_job, naive_ttv_job,
-};
-use crate::plan::{certified_rewrite_for, plan_for, Decomp};
+use crate::ops::{collapse_job, cross_merge_job, hadamard_vec_job, imhp_job, naive_ttv_job};
+use crate::plan::{plan_for, Decomp};
 use crate::records::{tensor_records, Ix4};
 use crate::{CoreError, Result, Variant};
 use haten2_linalg::Mat;
-use haten2_mapreduce::{Batch, Cluster, KeyFreqSketch};
+use haten2_mapreduce::{Batch, Cluster};
 use haten2_tensor::{CooTensor3, Entry3};
 use std::sync::{Arc, OnceLock};
 
@@ -101,26 +98,6 @@ pub fn project(
     let r_dim = u2.rows() as u64;
     let x_records = tensor_records(&xc);
     let graph = plan_for(Decomp::Tucker, variant);
-
-    // Skew-aware runtime rewrite: one O(nnz) map-side pass sketches the
-    // frequency of the final merge's reduce keys (the canonical
-    // target-mode indices) per hash slice; when the cluster's
-    // [`haten2_mapreduce::RewritePolicy`] fires, the analyzer-certified
-    // `heavy-key-split` plan is submitted instead — bit-identical outputs,
-    // but the straggling merge becomes `machines` concurrent split jobs.
-    // Pipelines without a certification record (Naive/DNN) never rewrite.
-    let mut sketch = KeyFreqSketch::new(cluster.config().machines.max(1));
-    for (ix, _) in &x_records {
-        sketch.observe(&ix.0);
-    }
-    let rewritten = cluster
-        .config()
-        .rewrite
-        .should_rewrite(&sketch)
-        .then(|| certified_rewrite_for(&graph, "heavy-key-split"))
-        .flatten();
-    let rewrite = rewritten.is_some();
-    let graph = rewritten.unwrap_or(graph);
 
     let y_records: Vec<(Ix4, f64)> = match variant {
         Variant::Naive => {
@@ -285,72 +262,26 @@ pub fn project(
                     move |ctx| hadamard_vec_job(ctx, &name, bin_records, 2, row, Some(r as u64)),
                 )?);
             }
-            let y = if rewrite {
-                // Two-phase aggregation: M per-slice splits of the
-                // crossmerge (each cost-hinted with its slice's sketched
-                // record count for LPT dispatch), then mergeparts.
-                let m = sketch.width();
-                let mut split_parts = Vec::with_capacity(m);
-                for s in 0..m {
-                    let name = format!("tucker-drn-crossmerge-split{s}");
+            let y = batch.submit(
+                "tucker-drn-crossmerge",
+                vec!["t_prime".into(), "t_dprime".into()],
+                vec!["y".into()],
+                {
                     let tp = tp.clone();
                     let tdp = tdp.clone();
-                    let split_h = batch.submit(
-                        name.clone(),
-                        vec!["t_prime".into(), "t_dprime".into()],
-                        vec![format!("y__part#{s}")],
-                        move |ctx| {
-                            let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tp {
-                                t_prime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tdp {
-                                t_dprime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            cross_merge_split_job(ctx, &name, &t_prime, &t_dprime, s, m)
-                        },
-                    )?;
-                    batch.set_cost_hint(&split_h, sketch.bucket(s) as f64);
-                    split_parts.push(split_h);
-                }
-                batch.submit(
-                    "tucker-drn-crossmerge-mergeparts",
-                    vec!["y__part".into()],
-                    vec!["y".into()],
-                    {
-                        let split_parts = split_parts.clone();
-                        move |ctx| {
-                            let mut all: Vec<(Ix4, f64)> = Vec::new();
-                            for ph in &split_parts {
-                                all.extend(ctx.get(ph)?.iter().copied());
-                            }
-                            merge_parts_job(ctx, "tucker-drn-crossmerge-mergeparts", &all)
+                    move |ctx| {
+                        let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
+                        for h in &tp {
+                            t_prime.extend(ctx.get(h)?.iter().copied());
                         }
-                    },
-                )?
-            } else {
-                batch.submit(
-                    "tucker-drn-crossmerge",
-                    vec!["t_prime".into(), "t_dprime".into()],
-                    vec!["y".into()],
-                    {
-                        let tp = tp.clone();
-                        let tdp = tdp.clone();
-                        move |ctx| {
-                            let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tp {
-                                t_prime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                            for h in &tdp {
-                                t_dprime.extend(ctx.get(h)?.iter().copied());
-                            }
-                            cross_merge_job(ctx, "tucker-drn-crossmerge", &t_prime, &t_dprime)
+                        let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
+                        for h in &tdp {
+                            t_dprime.extend(ctx.get(h)?.iter().copied());
                         }
-                    },
-                )?
-            };
+                        cross_merge_job(ctx, "tucker-drn-crossmerge", &t_prime, &t_dprime)
+                    }
+                },
+            )?;
             batch.run(cluster)?;
             y.take()?
         }
@@ -366,53 +297,18 @@ pub fn project(
                     move |ctx| imhp_job(ctx, "tucker-dri-imhp", x_records, u1, u2)
                 },
             )?;
-            let y = if rewrite {
-                let m = sketch.width();
-                let mut split_parts = Vec::with_capacity(m);
-                for s in 0..m {
-                    let name = format!("tucker-dri-crossmerge-split{s}");
+            let y = batch.submit(
+                "tucker-dri-crossmerge",
+                vec!["t_prime".into(), "t_dprime".into()],
+                vec!["y".into()],
+                {
                     let imhp = imhp.clone();
-                    let split_h = batch.submit(
-                        name.clone(),
-                        vec!["t_prime".into(), "t_dprime".into()],
-                        vec![format!("y__part#{s}")],
-                        move |ctx| {
-                            let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                            cross_merge_split_job(ctx, &name, t_prime, t_dprime, s, m)
-                        },
-                    )?;
-                    batch.set_cost_hint(&split_h, sketch.bucket(s) as f64);
-                    split_parts.push(split_h);
-                }
-                batch.submit(
-                    "tucker-dri-crossmerge-mergeparts",
-                    vec!["y__part".into()],
-                    vec!["y".into()],
-                    {
-                        let split_parts = split_parts.clone();
-                        move |ctx| {
-                            let mut all: Vec<(Ix4, f64)> = Vec::new();
-                            for ph in &split_parts {
-                                all.extend(ctx.get(ph)?.iter().copied());
-                            }
-                            merge_parts_job(ctx, "tucker-dri-crossmerge-mergeparts", &all)
-                        }
-                    },
-                )?
-            } else {
-                batch.submit(
-                    "tucker-dri-crossmerge",
-                    vec!["t_prime".into(), "t_dprime".into()],
-                    vec!["y".into()],
-                    {
-                        let imhp = imhp.clone();
-                        move |ctx| {
-                            let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                            cross_merge_job(ctx, "tucker-dri-crossmerge", t_prime, t_dprime)
-                        }
-                    },
-                )?
-            };
+                    move |ctx| {
+                        let (t_prime, t_dprime) = ctx.get(&imhp)?;
+                        cross_merge_job(ctx, "tucker-dri-crossmerge", t_prime, t_dprime)
+                    }
+                },
+            )?;
             batch.run(cluster)?;
             y.take()?
         }
@@ -546,49 +442,6 @@ mod tests {
                 cluster.metrics().total_jobs(),
                 expected_jobs(variant, q, r),
                 "{variant}"
-            );
-        }
-    }
-
-    #[test]
-    fn rewritten_plan_is_bit_identical_to_unrewritten() {
-        use haten2_mapreduce::{RewritePolicy, SchedulerMode};
-        let x = random_coo([8, 5, 4], 60, 77);
-        let mut rng = StdRng::seed_from_u64(78);
-        let u1 = Mat::random(2, 5, &mut rng);
-        let u2 = Mat::random(3, 4, &mut rng);
-        for variant in [Variant::Drn, Variant::Dri] {
-            let mut outs: Vec<Vec<(u64, u64, u64, u64)>> = Vec::new();
-            for (policy, sched) in [
-                (RewritePolicy::Off, SchedulerMode::Sequential),
-                (RewritePolicy::Always, SchedulerMode::Sequential),
-                (RewritePolicy::Always, SchedulerMode::Dag),
-            ] {
-                let mut cfg = ClusterConfig::with_machines(4);
-                cfg.rewrite = policy;
-                cfg.scheduler = sched;
-                let cluster = Cluster::new(cfg);
-                let y = project(
-                    &cluster,
-                    variant,
-                    &x,
-                    0,
-                    &u1,
-                    &u2,
-                    &ProjectOptions::default(),
-                )
-                .unwrap();
-                outs.push(
-                    y.entries()
-                        .iter()
-                        .map(|e| (e.i, e.j, e.k, e.v.to_bits()))
-                        .collect(),
-                );
-            }
-            assert_eq!(outs[0], outs[1], "{variant}: rewrite broke bit-identity");
-            assert_eq!(
-                outs[0], outs[2],
-                "{variant}: DAG rewrite broke bit-identity"
             );
         }
     }

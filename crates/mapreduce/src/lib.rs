@@ -69,7 +69,6 @@ pub mod pool;
 #[cfg(feature = "race-detect")]
 pub mod race;
 pub mod reference;
-pub mod rewrite;
 pub mod sched;
 pub mod size;
 
@@ -78,9 +77,7 @@ pub use cluster::{Cluster, ClusterConfig, CostModel, SchedulerMode};
 pub use dfs::{Block, Dfs, DfsBackend, DurableConfig, SpillStats};
 pub use fault::{FaultPlan, JobFaultSchedule, RetryPolicy, TaskFaults};
 pub use haten2_blockstore::Codec;
-pub use job::{
-    key_slice, run_job, run_job_streaming, Combiner, JobSite, JobSpec, RECORD_FRAMING_BYTES,
-};
+pub use job::{run_job, run_job_streaming, Combiner, JobSite, JobSpec, RECORD_FRAMING_BYTES};
 pub use lineage::{Lineage, MAX_RECOVERY_DEPTH};
 pub use metrics::{BatchReport, JobMetrics, RunMetrics};
 pub use persist::{decode_records, encode_records, Persist};
@@ -90,7 +87,6 @@ pub use pool::WorkerPool;
 #[cfg(feature = "race-detect")]
 pub use race::RaceReport;
 pub use reference::{run_job_reference, run_job_reference_streaming};
-pub use rewrite::{KeyFreqSketch, RewritePolicy};
 pub use sched::{datasets_overlap, Batch, BatchResults, JobCtx, JobHandle};
 pub use size::EstimateSize;
 

@@ -260,8 +260,8 @@ pub struct BatchReport {
     /// leaves the tail worker idle behind the straggler.
     pub worker_busy_s: Vec<f64>,
     /// Largest single reduce-side key group (bytes) over the batch's jobs
-    /// — the straggler proxy the `heavy-key-split` rewrite targets,
-    /// surfaced here so skew benches can report it next to makespan.
+    /// — the reduce-side straggler proxy, surfaced here so skew benches
+    /// can report it next to makespan.
     pub heaviest_group_bytes: usize,
 }
 

@@ -54,12 +54,10 @@
 //! registered pipelines' DAGs.
 //!
 //! **Dispatch order.** Ready jobs are popped
-//! longest-processing-time-first by estimated cost
-//! ([`Batch::set_cost_hint`], with a bytes-fed-in fallback from finished
-//! predecessors), so a known-heavy job — e.g. the hash slice owning a
-//! skewed reduce key under the `heavy-key-split` rewrite — starts first
-//! instead of straggling behind its lighter siblings. When LPT's estimate
-//! is wrong anyway, the per-task speculative re-execution inside
+//! longest-processing-time-first by estimated cost — the bytes their
+//! finished predecessors fed them — so the job with the most input starts
+//! first instead of straggling behind its lighter siblings. When LPT's
+//! estimate is wrong anyway, the per-task speculative re-execution inside
 //! [`crate::job::run_job`] remains the straggler fallback. Estimates only
 //! reorder execution; the commit order (and with it every output and
 //! metric) is untouched.
@@ -237,9 +235,6 @@ struct Submitted<'a> {
     name: String,
     reads: Vec<String>,
     writes: Vec<String>,
-    /// Relative execution-cost estimate for LPT dispatch
-    /// ([`Batch::set_cost_hint`]); `0.0` means unhinted.
-    cost_hint: f64,
     run: Mutex<Option<JobFn<'a>>>,
 }
 
@@ -403,7 +398,6 @@ impl<'a> Batch<'a> {
             name: name.clone(),
             reads,
             writes,
-            cost_hint: 0.0,
             run: Mutex::new(Some(Box::new(move |ctx| {
                 let value = f(ctx)?;
                 let _ = out.set(value);
@@ -411,20 +405,6 @@ impl<'a> Batch<'a> {
             }))),
         });
         Ok(JobHandle { idx, name, slot })
-    }
-
-    /// Attach a dispatch cost hint to a submitted job: an estimate of its
-    /// relative execution cost, in any unit consistent within the batch
-    /// (the skew-aware pipelines use the [`crate::rewrite::KeyFreqSketch`]
-    /// per-slice record counts). The DAG scheduler pops ready jobs
-    /// largest-estimate-first — longest-processing-time-first list
-    /// scheduling — so a heavy hash slice starts before its lighter
-    /// siblings instead of straggling at the tail. Unhinted jobs fall back
-    /// to a bytes-fed-in proxy from already-finished predecessors. Hints
-    /// reorder *execution* only; commit order stays submission order, so
-    /// outputs and metrics remain bit-identical to Sequential mode.
-    pub fn set_cost_hint<T>(&mut self, handle: &JobHandle<T>, cost: f64) {
-        self.jobs[handle.idx].cost_hint = cost;
     }
 
     /// Declared-dataset dependency edges: for each job, the submission
@@ -686,13 +666,12 @@ impl<'a> Batch<'a> {
     /// chain retains an executor even after idle workers retire.
     ///
     /// **Dispatch order** is longest-processing-time-first: among ready
-    /// jobs, the one with the highest estimated cost runs next — the
-    /// caller's [`Batch::set_cost_hint`] if set, else a proxy summing the
-    /// bytes its already-finished predecessors fed it (their stashed
-    /// [`JobMetrics`] are written before dependents wake, so the proxy is
-    /// always available for dependency-released jobs). Ties fall back to
-    /// smallest submission index, so an unhinted single-wave batch keeps
-    /// plain FIFO order. LPT only reorders *execution*; commit order (and
+    /// jobs, the one with the highest estimated cost runs next — a proxy
+    /// summing the bytes its already-finished predecessors fed it (their
+    /// stashed [`JobMetrics`] are written before dependents wake, so the
+    /// proxy is always available for dependency-released jobs). Ties fall
+    /// back to smallest submission index, so a single-wave batch of root
+    /// jobs keeps plain FIFO order. LPT only reorders *execution*; commit order (and
     /// therefore every output and metric) is unchanged.
     ///
     /// Returns per-worker busy seconds (time spent inside `execute`),
@@ -718,12 +697,11 @@ impl<'a> Batch<'a> {
         let ready: Mutex<Vec<usize>> =
             Mutex::new((0..n).filter(|&j| preds[j].is_empty()).collect::<Vec<_>>());
         let est_cost = |j: usize| -> f64 {
-            let fed: f64 = preds[j]
+            preds[j]
                 .iter()
                 .filter_map(|&p| metrics[p].get())
                 .map(|m| (m.shuffle_bytes + m.reduce_output_bytes) as f64)
-                .sum();
-            self.jobs[j].cost_hint.max(fed)
+                .sum()
         };
         // Cap scheduler workers at the host's real core count: configured
         // `threads` beyond that only adds context switching and queue
@@ -769,7 +747,7 @@ impl<'a> Batch<'a> {
 
 /// Remove and return the ready job with the highest estimated cost
 /// (longest-processing-time-first); ties break toward the smallest
-/// submission index, so an unhinted batch degrades to FIFO.
+/// submission index, so a batch of equal estimates degrades to FIFO.
 fn lpt_pick(queue: &mut Vec<usize>, est: &dyn Fn(usize) -> f64) -> Option<usize> {
     let best = queue
         .iter()
@@ -1198,41 +1176,64 @@ mod tests {
 
     #[test]
     fn lpt_runs_costliest_ready_job_first_but_commits_in_submission_order() {
-        // One DAG worker makes the dispatch order observable; three
-        // independent jobs with hints 1 < 5 < 3 must execute 5, 3, 1.
-        let input = vec![(0u64, 1.0f64)];
+        // One DAG worker makes the dispatch order observable. The roots
+        // run FIFO (nothing has fed them yet); `r_last` releases both
+        // joins at once, and the join fed by `r_big`'s larger output must
+        // run first even though `j_small` was submitted before it.
+        fn root<'a>(
+            batch: &mut Batch<'a>,
+            order: &'a Mutex<Vec<&'static str>>,
+            name: &'static str,
+            write: &str,
+            input: &'a [(u64, f64)],
+        ) -> JobHandle<Vec<(u64, f64)>> {
+            batch
+                .submit(name, vec!["x".into()], vec![write.into()], move |ctx| {
+                    order.lock().unwrap().push(name);
+                    scale_job(ctx, name, input, 2.0)
+                })
+                .unwrap()
+        }
+        let small = vec![(0u64, 1.0f64)];
+        let big: Vec<(u64, f64)> = (0..256).map(|i| (i, i as f64)).collect();
         let mut cfg = ClusterConfig::with_machines(2);
         cfg.scheduler = SchedulerMode::Dag;
         cfg.threads = 1;
         let c = Cluster::new(cfg);
         let order: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
         let mut batch = Batch::new();
-        let hints = [("light", 1.0), ("heavy", 5.0), ("middle", 3.0)];
-        for (name, hint) in hints {
-            let h = batch
-                .submit(name, vec!["x".into()], vec![format!("t-{name}")], {
-                    let input = &input;
-                    let order = &order;
-                    move |ctx| {
-                        order.lock().unwrap().push(name);
-                        scale_job(ctx, name, input, 2.0)
-                    }
+        let r_small = root(&mut batch, &order, "r_small", "s", &small);
+        let r_big = root(&mut batch, &order, "r_big", "g", &big);
+        let r_last = root(&mut batch, &order, "r_last", "z", &small);
+        for (name, read, upstream) in [("j_small", "s", r_small), ("j_big", "g", r_big)] {
+            let r_last = r_last.clone();
+            let order = &order;
+            let reads = vec![read.to_string(), "z".to_string()];
+            let _ = batch
+                .submit(name, reads, vec![format!("out-{name}")], move |ctx| {
+                    order.lock().unwrap().push(name);
+                    let mut t = ctx.get(&upstream)?.clone();
+                    t.extend(ctx.get(&r_last)?.iter().copied());
+                    scale_job(ctx, name, &t, 1.0)
                 })
                 .unwrap();
-            batch.set_cost_hint(&h, hint);
         }
+        drop(r_last);
         let results = batch.run(&c).unwrap();
-        assert_eq!(*order.lock().unwrap(), ["heavy", "middle", "light"]);
+        assert_eq!(
+            *order.lock().unwrap(),
+            ["r_small", "r_big", "r_last", "j_big", "j_small"]
+        );
         // Commit order is still submission order: LPT is invisible in the
         // metrics log.
         let names: Vec<String> = c.metrics().jobs.iter().map(|j| j.name.clone()).collect();
-        assert_eq!(names, ["light", "heavy", "middle"]);
+        assert_eq!(names, ["r_small", "r_big", "r_last", "j_small", "j_big"]);
         assert_eq!(results.report().worker_busy_s.len(), 1);
         assert!(results.report().worker_busy_s[0] > 0.0);
     }
 
     #[test]
-    fn unhinted_dag_falls_back_to_fifo_on_one_worker() {
+    fn equal_estimates_fall_back_to_fifo_on_one_worker() {
         let input = vec![(0u64, 1.0f64)];
         let mut cfg = ClusterConfig::with_machines(2);
         cfg.scheduler = SchedulerMode::Dag;

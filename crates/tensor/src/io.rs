@@ -57,11 +57,11 @@ fn parse_entries<R: Read>(r: R) -> Result<Vec<Entry3>> {
         let i = parse_u64(it.next(), "i")?;
         let j = parse_u64(it.next(), "j")?;
         let k = parse_u64(it.next(), "k")?;
-        let v: f64 = it
-            .next()
-            .ok_or_else(|| TensorError::Io(format!("line {}: missing value", lineno + 1)))?
-            .parse()
-            .map_err(|e| TensorError::Io(format!("line {}: bad value: {e}", lineno + 1)))?;
+        let v = parse_value(
+            it.next()
+                .ok_or_else(|| TensorError::Io(format!("line {}: missing value", lineno + 1)))?,
+            lineno,
+        )?;
         if it.next().is_some() {
             return Err(TensorError::Io(format!(
                 "line {}: trailing fields (expected `i j k value`)",
@@ -71,6 +71,22 @@ fn parse_entries<R: Read>(r: R) -> Result<Vec<Entry3>> {
         entries.push(Entry3::new(i, j, k, v));
     }
     Ok(entries)
+}
+
+/// Parse the value field of 0-based line `lineno`. `f64::from_str` accepts
+/// `nan` and `inf`; a non-finite value would silently poison every
+/// downstream norm and fit, so it is rejected here with the line number.
+fn parse_value(field: &str, lineno: usize) -> Result<f64> {
+    let v: f64 = field
+        .parse()
+        .map_err(|e| TensorError::Io(format!("line {}: bad value: {e}", lineno + 1)))?;
+    if !v.is_finite() {
+        return Err(TensorError::Io(format!(
+            "line {}: non-finite value `{field}`",
+            lineno + 1
+        )));
+    }
+    Ok(v)
 }
 
 /// Write a tensor to a file path.
@@ -123,9 +139,7 @@ pub fn read_dyn<R: Read>(dims: Vec<u64>, r: R) -> Result<DynTensor> {
                 .parse()
                 .map_err(|e| TensorError::Io(format!("line {}: bad index: {e}", lineno + 1)))?;
         }
-        let v: f64 = fields[order]
-            .parse()
-            .map_err(|e| TensorError::Io(format!("line {}: bad value: {e}", lineno + 1)))?;
+        let v = parse_value(fields[order], lineno)?;
         t.push(&idx, v)?;
     }
     Ok(t.coalesce())
@@ -175,6 +189,33 @@ mod tests {
         assert!(read_coo3([2, 2, 2], "0 0 x 1.0".as_bytes()).is_err());
         assert!(read_coo3([2, 2, 2], "0 0 0 1.0 9".as_bytes()).is_err());
         assert!(read_coo3([1, 1, 1], "5 0 0 1.0".as_bytes()).is_err()); // out of bounds
+    }
+
+    #[test]
+    fn rejects_non_finite_values_naming_the_line() {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "1e309"] {
+            let text = format!("0 0 0 1.0\n1 1 1 {bad}\n");
+            let err = read_coo3([2, 2, 2], text.as_bytes()).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                matches!(err, TensorError::Io(_)) && msg.contains("line 2") && msg.contains(bad),
+                "{bad}: {msg}"
+            );
+            assert!(read_coo3_infer_dims(text.as_bytes()).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn dyn_rejects_non_finite_values_naming_the_line() {
+        for bad in ["nan", "inf", "-inf"] {
+            let text = format!("# header\n0 1 {bad}\n");
+            let err = read_dyn(vec![2, 2], text.as_bytes()).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                matches!(err, TensorError::Io(_)) && msg.contains("line 2") && msg.contains(bad),
+                "{bad}: {msg}"
+            );
+        }
     }
 
     #[test]

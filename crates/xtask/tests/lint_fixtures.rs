@@ -25,7 +25,6 @@ const LINT_FIXTURES: &[(&str, &str)] = &[
     ("shared_backoff.rs", "shared-backoff"),
     ("no_per_record_alloc.rs", "no-per-record-alloc"),
     ("no_direct_fs.rs", "no-direct-fs"),
-    ("no_uncertified_rewrite.rs", "no-uncertified-rewrite"),
     ("undocumented_unsafe.rs", "undocumented-unsafe"),
 ];
 

@@ -16,19 +16,14 @@
 # fresh process must resume from segments + manifest to a bit-identical
 # model for one PARAFAC and one Tucker pipeline.
 #
-# `--skew-smoke` runs the heavy-key-skew lane: the rewritten
-# (heavy-key-split) DRI MTTKRP is asserted bit-identical to the
-# unrewritten Sequential oracle, the engine-level rewrite identity
-# proptests run, and the bench gates the host makespan ratio of a
+# `--skew-smoke` runs the heavy-key-skew lane: the DRI MTTKRP under the
+# Dag scheduler is asserted bit-identical to the Sequential oracle on a
+# power-law tensor, and the bench gates the host makespan ratio of a
 # power-law tensor vs a uniform tensor at equal nnz to <= 1.2x.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "--skew-smoke" ]]; then
-    echo "==> rewrite identity proptests (split+mergeparts bit-identical across modes and faults)"
-    cargo test --release -p haten2-mapreduce --test rewrite_identity -q
-    echo "==> chaos smoke with rewrites forced on (fault transparency of rewritten plans)"
-    cargo test --release -p haten2-chaos --test smoke -q rewritten
     echo "==> skew gate (power-law/uniform host makespan ratio <= 1.2x, bit-identity oracle)"
     cargo run -p haten2-bench --release --bin haten2-engine-bench -- --skew-smoke
     echo "Skew smoke passed."

@@ -271,6 +271,32 @@ fn bad_usage_reports_errors() {
 }
 
 #[test]
+fn non_finite_input_is_rejected_with_the_line() {
+    let dir = tmp_dir("non_finite");
+    let tns = dir.join("x.tns");
+    std::fs::write(&tns, "0 0 0 1.0\n0 1 0 inf\n1 0 0 2.0\n").unwrap();
+    let prefix = dir.join("tk");
+    let _ = std::fs::remove_file(dir.join("tk.core.tns"));
+    let out = cli()
+        .args(["decompose", "tucker", "--input"])
+        .arg(&tns)
+        .args(["--core", "1,1,1", "--out-prefix"])
+        .arg(&prefix)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 2") && stderr.contains("non-finite value"),
+        "{stderr}"
+    );
+    assert!(!dir.join("tk.core.tns").exists());
+
+    let out = cli().args(["stats", "--input"]).arg(&tns).output().unwrap();
+    assert!(!out.status.success());
+}
+
+#[test]
 fn variant_selection_works() {
     let dir = tmp_dir("variant");
     let tns = dir.join("x.tns");
