@@ -87,25 +87,6 @@ fn reject_demo() -> bool {
             );
         }
     }
-    for r in haten2_analyze::races::run_race_rejections() {
-        println!("## {} — {}", r.graph, r.defect);
-        if r.violations.is_empty() {
-            println!("NOT REJECTED (races pass found nothing)\n");
-        } else {
-            for v in &r.violations {
-                println!("- {v}");
-            }
-            println!();
-        }
-        if !r.rejected {
-            all_rejected = false;
-            eprintln!(
-                "seeded racing batch '{}' ({}) was not rejected naming jobs \
-                 '{}'/'{}' and dataset '{}'",
-                r.graph, r.defect, r.job_a, r.job_b, r.dataset
-            );
-        }
-    }
     let envs = haten2_analyze::cost::regime_envs();
     for r in haten2_analyze::comm::run_comm_rejections(&envs) {
         println!("## {} — {}", r.graph, r.defect);

@@ -10,7 +10,6 @@
 //!   "envs_checked": 288,
 //!   "rows": [ {"graph": "...", "verdict": "verified", ...}, ... ],
 //!   "recovery": [ {"graph": "...", "certified": true, ...}, ... ],
-//!   "races": [ {"graph": "...", "certified": true, ...}, ... ],
 //!   "comm": [ {"graph": "...", "shuffle": "...", "bound": "...", ...}, ... ],
 //!   "rewrites": [ {"rewrite": "...", "graph": "...", "certified": true, ...}, ... ],
 //!   "determinism": {"ok": true, "files_scanned": 13, "violations": []},
@@ -70,9 +69,6 @@ fn pass_of(v: &Violation) -> &'static str {
         Violation::NondeterministicUdf { .. } | Violation::AnnotationMismatch { .. } => {
             "determinism"
         }
-        Violation::UndeclaredEffect { .. }
-        | Violation::UnorderedConflict { .. }
-        | Violation::OverDeclaredRead { .. } => "races",
         Violation::ShuffleMismatch { .. } | Violation::CommBoundExceeded { .. } => "comm",
         Violation::RewriteVolumeInflation { .. } | Violation::RewriteDataflowBroken { .. } => {
             "rewrite"
@@ -186,27 +182,6 @@ pub fn violation_json(v: &Violation) -> String {
             "\"kind\":\"annotation-mismatch\",\"graph\":\"{}\",\"job\":\"{}\",\"op\":\"{}\",\"detail\":\"{}\"",
             esc(graph), esc(job), esc(op), esc(detail)
         ),
-        Violation::UndeclaredEffect { site, job, dataset } => format!(
-            "\"kind\":\"undeclared-effect\",\"site\":\"{}\",\"job\":\"{}\",\"dataset\":\"{}\"",
-            esc(site),
-            esc(job),
-            esc(dataset)
-        ),
-        Violation::UnorderedConflict {
-            scope,
-            job_a,
-            job_b,
-            dataset,
-        } => format!(
-            "\"kind\":\"unordered-conflict\",\"scope\":\"{}\",\"job_a\":\"{}\",\"job_b\":\"{}\",\"dataset\":\"{}\"",
-            esc(scope), esc(job_a), esc(job_b), esc(dataset)
-        ),
-        Violation::OverDeclaredRead { site, job, dataset } => format!(
-            "\"kind\":\"over-declared-read\",\"site\":\"{}\",\"job\":\"{}\",\"dataset\":\"{}\"",
-            esc(site),
-            esc(job),
-            esc(dataset)
-        ),
         Violation::ShuffleMismatch {
             graph,
             derived,
@@ -307,24 +282,6 @@ pub fn full_json(report: &Report) -> String {
     }
     out.push_str("],");
 
-    out.push_str("\"races\":[");
-    for (i, r) in report.rows.iter().enumerate() {
-        let c = &r.races;
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"graph\":\"{}\",\"certified\":{},\"jobs_checked\":{},\"templates_matched\":{},\"templates_total\":{}}}",
-            esc(&c.graph),
-            c.certified(),
-            c.jobs_checked,
-            c.templates_matched,
-            c.templates_total
-        );
-    }
-    out.push_str("],");
-
     out.push_str("\"comm\":[");
     for (i, c) in report.comm.iter().enumerate() {
         if i > 0 {
@@ -400,43 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn race_violation_objects_carry_pair_and_dataset() {
-        // The races pass emits one object per finding; an unordered
-        // conflict must name both jobs of the racing pair and the
-        // dataset, mirroring the runtime's two-job PlanViolation and
-        // DuplicateWrite messages.
-        let v = Violation::UnorderedConflict {
-            scope: "parafac-naive".to_string(),
-            job_a: "parafac-naive-xb1".to_string(),
-            job_b: "parafac-naive-tc1".to_string(),
-            dataset: "t#1".to_string(),
-        };
-        let j = violation_json(&v);
-        assert!(j.starts_with("{\"pass\":\"races\""));
-        assert!(j.contains("\"kind\":\"unordered-conflict\""));
-        assert!(j.contains("\"job_a\":\"parafac-naive-xb1\""));
-        assert!(j.contains("\"job_b\":\"parafac-naive-tc1\""));
-        assert!(j.contains("\"dataset\":\"t#1\""));
-        for v in [
-            Violation::UndeclaredEffect {
-                site: "core/src/ops.rs:10".to_string(),
-                job: "a".to_string(),
-                dataset: "d#0".to_string(),
-            },
-            Violation::OverDeclaredRead {
-                site: "core/src/ops.rs:11".to_string(),
-                job: "b".to_string(),
-                dataset: "d".to_string(),
-            },
-        ] {
-            let j = violation_json(&v);
-            assert!(j.starts_with("{\"pass\":\"races\""), "{j}");
-            assert!(j.contains("\"site\":"), "{j}");
-            assert!(j.contains("\"display\":"), "{j}");
-        }
-    }
-
-    #[test]
     fn comm_violation_objects_carry_expressions_and_envs() {
         // The comm/rewrite passes' objects follow the same shape as the
         // cost pass: symbolic expressions as strings, the counterexample
@@ -490,8 +410,7 @@ mod tests {
 
     #[test]
     fn comm_section_covers_every_pipeline_with_full_schema() {
-        // Mirrors the races-section coverage test: one object per
-        // pipeline, every schema key present.
+        // One object per pipeline, every schema key present.
         let report = crate::verify_paper_table();
         let doc = full_json(&report);
         assert!(doc.contains("\"comm\":["));
@@ -549,7 +468,7 @@ mod tests {
             &doc[..60.min(doc.len())]
         );
         assert!(doc.contains("\"recovery\":["));
-        assert!(doc.contains("\"races\":["));
+        assert!(!doc.contains("\"races\":"));
         assert!(doc.contains("\"violations\":[]"));
         // Balanced braces/brackets outside strings = structurally sound.
         let (mut depth, mut in_str, mut escp) = (0i64, false, false);

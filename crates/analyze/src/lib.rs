@@ -31,8 +31,8 @@
 //!   pipeline's registered [`haten2_core::CommSpec`], and certifies the
 //!   symbolic gap ratio — plus a rewrite-certification API
 //!   ([`rewrite::certify_rewrite`]) that re-checks any [`rewrite::
-//!   PlanRewrite`]'s output graph for dataflow sanity, race-freedom, and
-//!   shuffle-volume non-inflation beyond its declared factor.
+//!   PlanRewrite`]'s output graph for dataflow sanity and shuffle-volume
+//!   non-inflation beyond its declared factor.
 //! * **Recoverability pass** ([`recovery::certify`]) — given a pipeline's
 //!   declared [`RecoverySpec`](haten2_mapreduce::RecoverySpec) and the
 //!   symbolic fault budget `k`, proves lineage closure (every read is
@@ -47,15 +47,12 @@
 //!   float reductions not declared commutative-associative in plan
 //!   metadata (each declaration is property-checked by a generated
 //!   proptest per reducer).
-//! * **Races pass** ([`races::check_races`]) — infers the dataset names
-//!   each submitted closure actually touches (via `haten2-srcscan`
-//!   effect inference, including `#shard` patterns), proves inferred ⊆
-//!   declared per batch, expands every registered graph at a witness
-//!   environment, and certifies that no two jobs unordered by declared
-//!   dependencies conflict — plus an adversarial-schedule replay showing
-//!   every topological order commutes with the submission-order oracle.
-//!   The `race-detect` feature of the engine is the dynamic counterpart;
-//!   the chaos harness cross-validates the two.
+//! * **No races pass.** Race freedom holds by construction: a
+//!   `Batch` derives every job's read/write sets from the same
+//!   [`JobGraph`] this crate checks
+//!   ([`JobGraph::instance_datasets`](haten2_mapreduce::JobGraph::instance_datasets)),
+//!   so there is no hand-written second copy to audit. The engine's
+//!   `race-detect` feature is the dynamic cross-check (DESIGN.md §9).
 //! * **Lint pass** — source-level rules (forbidden APIs, undocumented
 //!   `unsafe`, `unwrap` in library code) live in the `xtask` package
 //!   (`cargo xtask lint`), layered on the same `haten2-srcscan` scanner:
@@ -80,7 +77,6 @@ pub mod determinism;
 pub mod fixture;
 pub mod io;
 pub mod json;
-pub mod races;
 pub mod recovery;
 pub mod report;
 pub mod rewrite;
@@ -91,7 +87,6 @@ pub use dataflow::check_dataflow;
 pub use determinism::{check_determinism, check_plan_consistency, DeterminismReport};
 pub use fixture::{load_plan_fixture, run_plan_fixture, PlanFixture};
 pub use io::{durable_io_table, tensor_record_bytes, DurableIoRow};
-pub use races::{check_races, race_certified, GraphRaceCert, RaceCertReport};
 pub use recovery::{certify, Certification, RecoveryBound};
 pub use report::{verify_paper_table, Report, RowVerdict};
 pub use rewrite::{certify_rewrite, HeavyKeySplit, PlanRewrite, RewriteCert, REWRITE_RULES};
@@ -239,40 +234,6 @@ pub enum Violation {
         /// What disagrees.
         detail: String,
     },
-    /// A submitted closure touches a dataset its declaration omits, so
-    /// the DAG scheduler cannot order the access.
-    UndeclaredEffect {
-        /// Where the effect was inferred: `file:line` for a source
-        /// finding, the graph name for an instance-level one.
-        site: String,
-        /// Offending job (template or instance).
-        job: String,
-        /// The dataset the body touches without declaring.
-        dataset: String,
-    },
-    /// Two jobs with no declared-dependency path between them conflict on
-    /// a dataset (write/write or read/write) — the scheduler may run them
-    /// concurrently.
-    UnorderedConflict {
-        /// Batch or graph the racing pair lives in.
-        scope: String,
-        /// Earlier job of the racing pair.
-        job_a: String,
-        /// Later job of the racing pair.
-        job_b: String,
-        /// The dataset both touch.
-        dataset: String,
-    },
-    /// A declared read of an intermediate dataset the closure never
-    /// consumes — a stale declaration that over-serializes the schedule.
-    OverDeclaredRead {
-        /// Where the declaration lives: `file:line` or the graph name.
-        site: String,
-        /// Job carrying the stale declaration.
-        job: String,
-        /// The declared-but-unused dataset.
-        dataset: String,
-    },
     /// The graph-derived total shuffle volume disagrees with the
     /// hand-reconstructed closed form on some regime environment.
     ShuffleMismatch {
@@ -322,8 +283,7 @@ pub enum Violation {
         /// Rewritten shuffle bytes on `env`.
         rewritten_val: u128,
     },
-    /// A plan rewrite's output graph fails re-checking: broken dataflow
-    /// or a race the original graph did not have.
+    /// A plan rewrite's output graph fails re-checking: broken dataflow.
     RewriteDataflowBroken {
         /// The offending rewrite, by name.
         rewrite: String,
@@ -351,9 +311,6 @@ impl Violation {
             Violation::CheckpointGap { .. } => "checkpoint-gap",
             Violation::NondeterministicUdf { .. } => "nondeterministic-udf",
             Violation::AnnotationMismatch { .. } => "annotation-mismatch",
-            Violation::UndeclaredEffect { .. } => "undeclared-effect",
-            Violation::UnorderedConflict { .. } => "unordered-conflict",
-            Violation::OverDeclaredRead { .. } => "over-declared-read",
             Violation::ShuffleMismatch { .. } => "shuffle-mismatch",
             Violation::CommBoundExceeded { .. } => "comm-bound-exceeded",
             Violation::RewriteVolumeInflation { .. } => "rewrite-volume-inflation",
@@ -481,29 +438,6 @@ impl std::fmt::Display for Violation {
                 f,
                 "annotation mismatch in graph '{graph}', job '{job}' (op '{op}'): \
                  {detail}"
-            ),
-            Violation::UndeclaredEffect { site, job, dataset } => write!(
-                f,
-                "undeclared effect at {site}: job '{job}' touches dataset \
-                 '{dataset}' without declaring it, so the scheduler cannot \
-                 order the access"
-            ),
-            Violation::UnorderedConflict {
-                scope,
-                job_a,
-                job_b,
-                dataset,
-            } => write!(
-                f,
-                "unordered conflict in {scope}: jobs '{job_a}' and '{job_b}' \
-                 both touch dataset '{dataset}' with no declared-dependency \
-                 path between them — the DAG scheduler may race them"
-            ),
-            Violation::OverDeclaredRead { site, job, dataset } => write!(
-                f,
-                "over-declared read at {site}: job '{job}' declares a read of \
-                 '{dataset}' its body never consumes, over-serializing the \
-                 schedule"
             ),
             Violation::ShuffleMismatch {
                 graph,

@@ -6,7 +6,6 @@ use crate::comm::{check_comm, comm_table, shuffle_claim, witness_env, CommRow};
 use crate::cost::{paper_claim, regime_envs, PaperClaim};
 use crate::determinism::{check_determinism, DeterminismReport};
 use crate::io::{durable_io_table, tensor_record_bytes, DurableIoRow};
-use crate::races::{check_races, GraphRaceCert};
 use crate::recovery::{certify, Certification};
 use crate::rewrite::{certify_rewrite, HeavyKeySplit, RewriteCert};
 use crate::{analyze_graph, Violation};
@@ -38,9 +37,6 @@ pub struct RowVerdict {
     pub dominant_job: String,
     /// Recoverability certificate under the symbolic fault budget `k`.
     pub recovery: Certification,
-    /// Race certificate: effect-inference + unordered-conflict +
-    /// serializability over the expanded instances.
-    pub races: GraphRaceCert,
     /// Dataflow/cost violations (empty = the row verifies).
     pub violations: Vec<Violation>,
 }
@@ -64,11 +60,6 @@ pub struct Report {
     pub rewrites: Vec<RewriteCert>,
     /// The UDF-purity scan over the workspace sources.
     pub determinism: DeterminismReport,
-    /// Source-level effect findings from the races pass (per-batch, not
-    /// attributable to a single pipeline row).
-    pub race_source_violations: Vec<Violation>,
-    /// Source files the races pass scanned for submit sites.
-    pub race_files_scanned: usize,
 }
 
 impl Report {
@@ -77,9 +68,8 @@ impl Report {
     pub fn ok(&self) -> bool {
         self.rows
             .iter()
-            .all(|r| r.violations.is_empty() && r.recovery.certified() && r.races.certified())
+            .all(|r| r.violations.is_empty() && r.recovery.certified())
             && self.determinism.ok()
-            && self.race_source_violations.is_empty()
             && self.comm_violations.is_empty()
             && self.comm.iter().all(|c| !c.gap_unbounded_in_nnz)
             && self.rewrites.iter().all(RewriteCert::certified)
@@ -89,14 +79,8 @@ impl Report {
     pub fn violations(&self) -> Vec<&Violation> {
         self.rows
             .iter()
-            .flat_map(|r| {
-                r.violations
-                    .iter()
-                    .chain(r.recovery.violations.iter())
-                    .chain(r.races.violations.iter())
-            })
+            .flat_map(|r| r.violations.iter().chain(r.recovery.violations.iter()))
             .chain(self.determinism.violations.iter())
-            .chain(self.race_source_violations.iter())
             .chain(self.comm_violations.iter())
             .chain(self.rewrites.iter().flat_map(|c| c.violations.iter()))
             .collect()
@@ -139,24 +123,18 @@ impl Report {
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
-                "| Variant | Max intermediate data | Total jobs | Critical path (jobs) | Recovery bound (k faults) | Tensor reads | Dominant job | Races | Verdict |"
+                "| Variant | Max intermediate data | Total jobs | Critical path (jobs) | Recovery bound (k faults) | Tensor reads | Dominant job | Verdict |"
             );
-            let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|");
+            let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
             for r in self.rows.iter().filter(|r| r.decomp == decomp) {
-                let verdict =
-                    if r.violations.is_empty() && r.recovery.certified() && r.races.certified() {
-                        "verified"
-                    } else {
-                        "VIOLATED"
-                    };
-                let races = if r.races.certified() {
-                    format!("race-free ({} jobs)", r.races.jobs_checked)
+                let verdict = if r.violations.is_empty() && r.recovery.certified() {
+                    "verified"
                 } else {
-                    "RACY".to_string()
+                    "VIOLATED"
                 };
                 let _ = writeln!(
                     out,
-                    "| {} | {} | {} | {} | {} | {} | `{}` | {} | {} |",
+                    "| {} | {} | {} | {} | {} | {} | `{}` | {} |",
                     r.variant,
                     r.claim.max_intermediate,
                     r.claim.total_jobs,
@@ -164,7 +142,6 @@ impl Report {
                     r.recovery.bound.total,
                     r.claim.tensor_reads,
                     r.dominant_job,
-                    races,
                     verdict
                 );
             }
@@ -292,8 +269,7 @@ impl Report {
             let _ = writeln!(
                 out,
                 "Certified plan rewrites (output re-checked from scratch \
-                 for dataflow sanity, race-freedom, and shuffle-volume \
-                 non-inflation):"
+                 for dataflow sanity and shuffle-volume non-inflation):"
             );
             let _ = writeln!(out);
             for c in &self.rewrites {
@@ -343,43 +319,6 @@ impl Report {
         }
 
         let _ = writeln!(out);
-        let _ = writeln!(out, "## Race certification");
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "Effect inference over {} pipeline source file(s): the dataset \
-             names (including `#shard` patterns) each submitted closure \
-             actually touches were extracted from its body and proven a \
-             subset of its declared read/write sets; each registered graph \
-             was then expanded at a witness environment (Q=2, R=3) and \
-             every pair of jobs with no declared-dependency path between \
-             them was proven conflict-free (no write/write or read/write \
-             overlap under symbolic shard naming). An adversarial \
-             latest-ready-first replay of the declared DAG observed the \
-             same last-writer for every read as submission order, so every \
-             topological order the DAG scheduler may choose commutes with \
-             the sequential oracle.",
-            self.race_files_scanned
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "| Pipeline | Race-free | Job instances checked | Submit sites matched |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|");
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "| `{}` | {} | {} | {}/{} |",
-                r.graph,
-                if r.races.certified() { "yes" } else { "NO" },
-                r.races.jobs_checked,
-                r.races.templates_matched,
-                r.races.templates_total
-            );
-        }
-
-        let _ = writeln!(out);
         let _ = writeln!(out, "## Determinism");
         let _ = writeln!(out);
         let _ = writeln!(
@@ -422,7 +361,6 @@ impl Report {
 pub fn verify_paper_table() -> Report {
     let envs = regime_envs();
     let sample = envs[0];
-    let race_report = check_races();
     let mut rows = Vec::new();
     for decomp in Decomp::ALL {
         for variant in Variant::ALL {
@@ -438,20 +376,6 @@ pub fn verify_paper_table() -> Report {
                 .find(|j| j.records.eval(&sample) == max.eval(&sample))
                 .map(|j| j.name.clone())
                 .unwrap_or_default();
-            let races = race_report
-                .certs
-                .iter()
-                .find(|c| c.decomp == decomp && c.variant == variant)
-                .cloned()
-                .unwrap_or(GraphRaceCert {
-                    decomp,
-                    variant,
-                    graph: graph.name.clone(),
-                    jobs_checked: 0,
-                    templates_matched: 0,
-                    templates_total: graph.jobs.len(),
-                    violations: Vec::new(),
-                });
             rows.push(RowVerdict {
                 decomp,
                 variant,
@@ -460,7 +384,6 @@ pub fn verify_paper_table() -> Report {
                 critical_path,
                 dominant_job,
                 recovery,
-                races,
                 violations,
             });
         }
@@ -496,8 +419,6 @@ pub fn verify_paper_table() -> Report {
         comm_violations,
         rewrites,
         determinism: check_determinism(),
-        race_source_violations: race_report.source_violations,
-        race_files_scanned: race_report.files_scanned,
     }
 }
 
@@ -534,9 +455,6 @@ mod tests {
         assert!(md.contains("## Recoverability"));
         assert!(md.contains("## Durable I/O floor"));
         assert!(md.contains("Read amplification"));
-        assert!(md.contains("## Race certification"));
-        assert!(md.contains("race-free ("), "races column missing:\n{md}");
-        assert!(!md.contains("RACY"));
         assert!(md.contains("## Communication certification"));
         assert!(md.contains("Applicable lower bound"));
         assert!(md.contains("arXiv:1708.07401"));

@@ -3,9 +3,8 @@
 //!
 //! An optimizer that rewrites a [`JobGraph`] (splitting a hot reducer,
 //! fusing jobs, re-sharding a merge) can silently break everything the
-//! other passes certified: dataset wiring, race-freedom under the
-//! declared-dependency scheduler, and the communication volume the
-//! [`crate::comm`] pass holds to its lower bound. This module makes
+//! other passes certified: dataset wiring and the communication volume
+//! the [`crate::comm`] pass holds to its lower bound. This module makes
 //! rewrites *certifiable*: a [`PlanRewrite`] transforms a graph **and
 //! declares** its worst-case shuffle inflation; [`certify_rewrite`] then
 //! re-checks the output from scratch —
@@ -13,17 +12,16 @@
 //! 1. **dataflow sanity** — the rewritten graph goes back through
 //!    [`crate::dataflow::check_dataflow`]; any wiring defect (dangling
 //!    read, lost write, unused dataset) rejects the rewrite;
-//! 2. **race-freedom** — the rewritten templates are expanded into
-//!    per-instance [`EffectModel`]s (plan declarations are taken as both
-//!    declared and inferred effects: the rewrite output has no source
-//!    text to scan yet, so it is held to its own declarations) and run
-//!    through the same pairwise rules and adversarial serializability
-//!    replay as [`crate::races`];
-//! 3. **volume non-inflation** — the rewritten graph's
+//! 2. **volume non-inflation** — the rewritten graph's
 //!    [`JobGraph::shuffle_bytes`] must stay within the rewrite's declared
 //!    factor of the original on every regime environment, so a "heavy
 //!    key" mitigation cannot smuggle in an asymptotic communication
 //!    regression.
+//!
+//! Race freedom needs no step of its own: a rewritten graph executed
+//! through a `Batch` gets its read/write sets derived from the graph
+//! itself, so its schedule orders every conflicting access by
+//! construction (DESIGN.md §9).
 //!
 //! The first real instance is [`HeavyKeySplit`] — the classic two-phase
 //! aggregation for skewed reduce keys: the pipeline's final merge job is
@@ -34,10 +32,8 @@
 //! (inflating volume `M`-fold) and a split whose merge reads a typo'd
 //! dataset are both rejected by name.
 
-use crate::races::serializability_check;
 use crate::{dataflow, Violation};
 use haten2_mapreduce::{Env, JobGraph, PlanJob, SymExpr};
-use haten2_srcscan::effects::{check_model, EffectModel};
 
 /// The rewrite rules this pass can fire, with rationale — the fixture
 /// corpus in `crates/xtask/tests/fixtures/` carries one known-bad plan
@@ -50,8 +46,8 @@ pub const REWRITE_RULES: &[(&str, &str)] = &[
     ),
     (
         "rewrite-dataflow-broken",
-        "a rewrite's output graph must re-pass dataflow and race certification from \
-         scratch — a transform that breaks wiring or ordering is rejected whole",
+        "a rewrite's output graph must re-pass dataflow from scratch — a transform \
+         that breaks wiring is rejected whole",
     ),
 ];
 
@@ -87,47 +83,14 @@ pub struct RewriteCert {
 }
 
 impl RewriteCert {
-    /// Certified: dataflow-sane, race-free, and within the declared
-    /// volume factor.
+    /// Certified: dataflow-sane and within the declared volume factor.
     pub fn certified(&self) -> bool {
         self.violations.is_empty()
     }
 }
 
-/// Expand a graph's templates into per-instance effect models at `env`,
-/// taking the plan's declared reads/writes as both declared and inferred
-/// effects (a rewrite output has no source text to scan). `{}` in a
-/// name/dataset is substituted with the instance index for multi-instance
-/// templates and kept as a shard wildcard for single-instance ones.
-pub fn plan_models(graph: &JobGraph, env: &Env) -> Vec<EffectModel> {
-    let mut models = Vec::new();
-    for t in &graph.jobs {
-        let count = t.count.eval(env);
-        for i in 0..count {
-            let subst = |s: &str| {
-                if count > 1 {
-                    s.replace("{}", &i.to_string())
-                } else {
-                    s.to_string()
-                }
-            };
-            let reads: Vec<String> = t.reads.iter().map(|d| subst(d)).collect();
-            let writes: Vec<String> = t.writes.iter().map(|d| subst(d)).collect();
-            models.push(EffectModel {
-                name: subst(&t.name),
-                declared_reads: reads.clone(),
-                declared_writes: writes.clone(),
-                inferred_reads: reads,
-                inferred_writes: writes,
-            });
-        }
-    }
-    models
-}
-
-/// Re-check a rewrite's output graph from scratch: dataflow sanity,
-/// race-freedom of the expanded instances, and shuffle-volume
-/// non-inflation beyond the declared factor over `envs`.
+/// Re-check a rewrite's output graph from scratch: dataflow sanity and
+/// shuffle-volume non-inflation beyond the declared factor over `envs`.
 pub fn certify_rewrite(rewrite: &dyn PlanRewrite, graph: &JobGraph, envs: &[Env]) -> RewriteCert {
     let rewritten = rewrite.apply(graph);
     let (num, den) = rewrite.declared_inflation();
@@ -150,41 +113,7 @@ pub fn certify_rewrite(rewrite: &dyn PlanRewrite, graph: &JobGraph, envs: &[Env]
         });
     }
 
-    // 2. Race-freedom of the expanded instances: pairwise effect rules
-    //    plus the adversarial serializability replay, at every env (the
-    //    instance count, hence the conflict surface, varies with M/Q/R).
-    if violations.is_empty() {
-        for env in envs {
-            let models = plan_models(&rewritten, env);
-            let mut race_causes: Vec<String> = check_model(&models)
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{} between '{}' and '{}' on dataset '{}'",
-                        f.rule,
-                        f.job,
-                        f.other.clone().unwrap_or_default(),
-                        f.dataset
-                    )
-                })
-                .collect();
-            if race_causes.is_empty() {
-                if let Some(v) = serializability_check(&rewritten.name, &models) {
-                    race_causes.push(v.to_string());
-                }
-            }
-            if let Some(cause) = race_causes.into_iter().next() {
-                violations.push(Violation::RewriteDataflowBroken {
-                    rewrite: rewrite.name().to_string(),
-                    graph: graph.name.clone(),
-                    cause,
-                });
-                break;
-            }
-        }
-    }
-
-    // 3. Volume non-inflation: rewritten · den ≤ original · num.
+    // 2. Volume non-inflation: rewritten · den ≤ original · num.
     let orig = graph.shuffle_bytes();
     let new = rewritten.shuffle_bytes();
     if let Some(env) = envs.iter().find(|e| {
@@ -569,27 +498,5 @@ mod tests {
             assert!(rewritten_val > &(2 * original_val));
             assert_eq!(declared, "2/1");
         }
-    }
-
-    #[test]
-    fn plan_models_substitute_shards_per_instance() {
-        let g = plan_for(Decomp::Tucker, Variant::Dri);
-        let rw = HeavyKeySplit.apply(&g);
-        let env = haten2_core::env_for([4, 5, 6], 20, 2, 3, 4);
-        let models = plan_models(&rw, &env);
-        // M = 4 split instances with concrete shards + the merge keeping
-        // its wildcard read.
-        let splits: Vec<&EffectModel> = models
-            .iter()
-            .filter(|m| m.name.starts_with("tucker-dri-crossmerge-split"))
-            .collect();
-        assert_eq!(splits.len(), 4);
-        assert_eq!(splits[0].declared_writes, ["y__part#0"]);
-        let merge = models
-            .iter()
-            .find(|m| m.name == "tucker-dri-crossmerge-mergeparts")
-            .unwrap();
-        assert_eq!(merge.declared_reads, ["y__part#{}"]);
-        assert!(check_model(&models).is_empty());
     }
 }

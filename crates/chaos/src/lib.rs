@@ -33,13 +33,14 @@
 //! Every cluster is built with the engine's `race-detect` feature
 //! compiled in: a per-dataset last-writer/readers detector inside the
 //! DFS flags any pair of unordered conflicting accesses during the
-//! sweep. Its verdict is cross-validated against the static races pass
-//! ([`haten2_analyze::race_certified`]) in both directions — see
-//! [`ChaosReport::race_cross_validation_failures`].
+//! sweep. The pipelines' read/write sets are derived from their plan
+//! graphs, so race freedom holds by construction; the detector is the
+//! cross-check, and any flagged race fails the harness
+//! ([`ChaosReport::total_dynamic_races`]).
 
 pub mod restart;
 
-use haten2_analyze::{certify, race_certified};
+use haten2_analyze::certify;
 use haten2_core::{
     parafac_als, plan_for, recovery_for, tucker_als, AlsOptions, CoreError, Decomp, Variant,
 };
@@ -104,12 +105,9 @@ pub struct Outcome {
     /// Did the static recoverability pass (`haten2_analyze::certify`)
     /// certify this pipeline's plan under its declared recovery spec?
     pub static_certified: bool,
-    /// Did the static races pass (`haten2_analyze::race_certified`)
-    /// certify this pipeline's batch program conflict-free?
-    pub race_certified: bool,
     /// Races the dynamic detector flagged across the run's clusters
-    /// (DAG + sequential replay). The static certificate claims this is
-    /// zero; any nonzero count is a cross-validation failure.
+    /// (DAG + sequential replay). Plan-derived read/write sets make this
+    /// zero by construction; any nonzero count fails the harness.
     pub dynamic_races: usize,
 }
 
@@ -157,22 +155,6 @@ impl ChaosReport {
         self.outcomes
             .iter()
             .filter(|o| o.status == Status::Identical && !o.static_certified)
-            .collect()
-    }
-
-    /// Static ⊆ dynamic cross-validation for the *race* certificates, in
-    /// both directions: a pipeline the static races pass certified must
-    /// never trip the dynamic detector (a flagged race disproves the
-    /// certificate), and a run the detector finds race-free end-to-end on
-    /// a pipeline the static pass refused to certify means the analyzer
-    /// is under-approximating.
-    pub fn race_cross_validation_failures(&self) -> Vec<&Outcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| {
-                (o.race_certified && o.dynamic_races > 0)
-                    || (!o.race_certified && o.dynamic_races == 0)
-            })
             .collect()
     }
 
@@ -291,9 +273,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
                 &recovery_for(d, variant, opts.sweeps),
             )
             .certified();
-            // Static race verdict for the same pipeline, for the race
-            // cross-validation against the dynamic detector.
-            let statically_race_free = race_certified(d, variant);
             let clean = run_pipeline(
                 &cluster(opts.machines, None, SchedulerMode::Dag),
                 &x,
@@ -351,7 +330,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
                     dfs_retries: m.total_dfs_read_retries(),
                     recovery_sim_time_s: m.total_recovery_sim_time_s(),
                     static_certified,
-                    race_certified: statically_race_free,
                     dynamic_races: c.race_reports().len() + seq_cluster.race_reports().len(),
                 });
             }

@@ -260,6 +260,12 @@ pub fn parafac_als_with_init(
         } else {
             1.0
         };
+        let sweep_no = opts.first_sweep + sweep + 1;
+        for f in &factors {
+            ensure_finite(sweep_no, "factors", f.data())?;
+        }
+        ensure_finite(sweep_no, "lambda", &lambda)?;
+        ensure_finite(sweep_no, "fit", &[fit])?;
         let prev = fits.last().copied();
         fits.push(fit);
         crate::checkpoint::maybe_save_parafac(cluster, opts, sweep, &lambda, &factors)?;
@@ -415,6 +421,12 @@ pub fn tucker_als_with_init(
         }
 
         let norm_g = core.fro_norm();
+        let sweep_no = opts.first_sweep + sweep + 1;
+        for f in &factors {
+            ensure_finite(sweep_no, "factors", f.data())?;
+        }
+        ensure_finite(sweep_no, "core", core.data().iter().chain([&norm_g]))?;
+        ensure_finite(sweep_no, "fit", &[tucker_fit(norm_x_sq, norm_g)])?;
         let prev = core_norms.last().copied();
         core_norms.push(norm_g);
         crate::checkpoint::maybe_save_tucker(cluster, opts, sweep, &core, &factors)?;
@@ -425,22 +437,40 @@ pub fn tucker_als_with_init(
         }
     }
 
-    let norm_g = core_norms.last().copied().unwrap_or(0.0);
-    let err_sq = (norm_x_sq - norm_g * norm_g).max(0.0);
-    let fit = if norm_x > 0.0 {
-        1.0 - err_sq.sqrt() / norm_x
-    } else {
-        1.0
-    };
-
     Ok(TuckerResult {
         core,
         factors,
+        fit: tucker_fit(norm_x_sq, core_norms.last().copied().unwrap_or(0.0)),
         core_norms,
         iterations,
-        fit,
         metrics: cluster.metrics_since(mark),
     })
+}
+
+/// Tucker fit `1 − ‖X − X̂‖/‖X‖` from `‖X‖²` and `‖G‖` (`‖X̂‖ = ‖G‖` for
+/// orthonormal factors).
+fn tucker_fit(norm_x_sq: f64, norm_g: f64) -> f64 {
+    let norm_x = norm_x_sq.sqrt();
+    let err_sq = (norm_x_sq - norm_g * norm_g).max(0.0);
+    if norm_x > 0.0 {
+        1.0 - err_sq.sqrt() / norm_x
+    } else {
+        1.0
+    }
+}
+
+/// [`CoreError::NonFinite`] for `stage` of `sweep` unless every value is
+/// finite.
+fn ensure_finite<'v>(
+    sweep: usize,
+    stage: &'static str,
+    values: impl IntoIterator<Item = &'v f64>,
+) -> Result<()> {
+    if values.into_iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(CoreError::NonFinite { sweep, stage })
+    }
 }
 
 #[cfg(test)]
@@ -646,6 +676,56 @@ mod tests {
             dist.metrics.total_jobs(),
             driver.metrics.total_jobs() + dist.iterations
         );
+    }
+
+    /// Two finite entries whose squares overflow: `‖X‖² = ∞`.
+    fn overflowing_tensor() -> CooTensor3 {
+        let entries = vec![Entry3::new(0, 0, 0, 1e308), Entry3::new(1, 1, 1, 1e308)];
+        CooTensor3::from_entries([2, 2, 2], entries).unwrap()
+    }
+
+    /// Options checkpointing every sweep under a fresh temporary prefix.
+    fn checkpointing(name: &str) -> (AlsOptions, String) {
+        let dir = std::env::temp_dir().join("haten2_als_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let prefix = dir.join(name).display().to_string();
+        let _ = std::fs::remove_file(format!("{prefix}.sweep.txt"));
+        let opts = AlsOptions {
+            checkpoint_prefix: Some(prefix.clone()),
+            ..AlsOptions::with_variant(Variant::Dri)
+        };
+        (opts, prefix)
+    }
+
+    #[test]
+    fn parafac_non_finite_sweep_is_an_error_and_never_checkpointed() {
+        let cluster = Cluster::new(ClusterConfig::with_machines(2));
+        let (opts, prefix) = checkpointing("parafac_non_finite");
+        let err = parafac_als(&cluster, &overflowing_tensor(), 2, &opts).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::NonFinite {
+                    sweep: 1,
+                    stage: "fit"
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(crate::checkpoint::load_sweep_marker(&prefix).unwrap(), None);
+    }
+
+    #[test]
+    fn tucker_non_finite_sweep_is_an_error_and_never_checkpointed() {
+        let cluster = Cluster::new(ClusterConfig::with_machines(2));
+        let (opts, prefix) = checkpointing("tucker_non_finite");
+        let err = tucker_als(&cluster, &overflowing_tensor(), [1, 1, 1], &opts).unwrap_err();
+        assert!(
+            matches!(err, CoreError::NonFinite { sweep: 1, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("non-finite"), "{err}");
+        assert_eq!(crate::checkpoint::load_sweep_marker(&prefix).unwrap(), None);
     }
 
     #[test]

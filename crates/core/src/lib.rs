@@ -118,6 +118,16 @@ pub enum CoreError {
     Linalg(haten2_linalg::LinalgError),
     /// Invalid decomposition parameters.
     InvalidArgument(String),
+    /// An ALS sweep produced a NaN or infinite value (typically from
+    /// input values so large that their squares overflow). Raised before
+    /// the sweep's checkpoint, so poisoned state is never persisted.
+    NonFinite {
+        /// The sweep that produced it, 1-based and counting sweeps run
+        /// before a checkpoint resume.
+        sweep: usize,
+        /// What was non-finite: `factors`, `lambda`, `core`, or `fit`.
+        stage: &'static str,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -127,6 +137,9 @@ impl std::fmt::Display for CoreError {
             CoreError::Tensor(e) => write!(f, "tensor: {e}"),
             CoreError::Linalg(e) => write!(f, "linalg: {e}"),
             CoreError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            CoreError::NonFinite { sweep, stage } => {
+                write!(f, "non-finite {stage} after ALS sweep {sweep}")
+            }
         }
     }
 }

@@ -96,26 +96,20 @@ pub fn mttkrp(
             // critical path 2. Submission stays interleaved per rank (the
             // sequential execution order, which keys the fault schedule).
             let dims4 = [d0, d1, d2, 1];
-            let mut batch = Batch::with_graph(&graph);
+            let mut batch = Batch::new(&graph);
             let mut ys = Vec::with_capacity(r_dim);
             for r in 0..r_dim {
                 let b_col = f1.col(r);
                 let c_col = f2.col(r);
                 let name_x = format!("parafac-naive-xb{r}");
-                let t_r =
-                    batch.submit(name_x.clone(), vec!["x".into()], vec![format!("t#{r}")], {
-                        let x_records = &x_records;
-                        move |ctx| naive_ttv_job(ctx, &name_x, x_records, dims4, 1, &b_col)
-                    })?;
+                let t_r = batch.submit(name_x.clone(), {
+                    let x_records = &x_records;
+                    move |ctx| naive_ttv_job(ctx, &name_x, x_records, dims4, 1, &b_col)
+                })?;
                 let name_t = format!("parafac-naive-tc{r}");
-                ys.push(batch.submit(
-                    name_t.clone(),
-                    vec![format!("t#{r}")],
-                    vec![format!("y#{r}")],
-                    move |ctx| {
-                        naive_ttv_job(ctx, &name_t, ctx.get(&t_r)?, [d0, 1, d2, 1], 2, &c_col)
-                    },
-                )?);
+                ys.push(batch.submit(name_t.clone(), move |ctx| {
+                    naive_ttv_job(ctx, &name_t, ctx.get(&t_r)?, [d0, 1, d2, 1], 2, &c_col)
+                })?);
             }
             batch.run(cluster)?;
             for (r, h) in ys.into_iter().enumerate() {
@@ -125,42 +119,28 @@ pub fn mttkrp(
         Variant::Dnn => {
             // Algorithm 6: per rank, Hadamard + Collapse twice — R
             // independent four-job chains, critical path 4.
-            let mut batch = Batch::with_graph(&graph);
+            let mut batch = Batch::new(&graph);
             let mut ys = Vec::with_capacity(r_dim);
             for r in 0..r_dim {
                 let b_col = f1.col(r);
                 let c_col = f2.col(r);
                 let name_hb = format!("parafac-dnn-had-b{r}");
-                let h1 = batch.submit(
-                    name_hb.clone(),
-                    vec!["x".into()],
-                    vec![format!("h_b#{r}")],
-                    {
-                        let x_records = &x_records;
-                        move |ctx| hadamard_vec_job(ctx, &name_hb, x_records, 1, &b_col, None)
-                    },
-                )?;
+                let h1 = batch.submit(name_hb.clone(), {
+                    let x_records = &x_records;
+                    move |ctx| hadamard_vec_job(ctx, &name_hb, x_records, 1, &b_col, None)
+                })?;
                 let name_cj = format!("parafac-dnn-col-j{r}");
-                let t_r = batch.submit(
-                    name_cj.clone(),
-                    vec![format!("h_b#{r}")],
-                    vec![format!("t#{r}")],
-                    move |ctx| collapse_job(ctx, &name_cj, ctx.get(&h1)?, 1, false),
-                )?;
+                let t_r = batch.submit(name_cj.clone(), move |ctx| {
+                    collapse_job(ctx, &name_cj, ctx.get(&h1)?, 1, false)
+                })?;
                 let name_hc = format!("parafac-dnn-had-c{r}");
-                let h2 = batch.submit(
-                    name_hc.clone(),
-                    vec![format!("t#{r}")],
-                    vec![format!("h_c#{r}")],
-                    move |ctx| hadamard_vec_job(ctx, &name_hc, ctx.get(&t_r)?, 2, &c_col, None),
-                )?;
+                let h2 = batch.submit(name_hc.clone(), move |ctx| {
+                    hadamard_vec_job(ctx, &name_hc, ctx.get(&t_r)?, 2, &c_col, None)
+                })?;
                 let name_ck = format!("parafac-dnn-col-k{r}");
-                ys.push(batch.submit(
-                    name_ck.clone(),
-                    vec![format!("h_c#{r}")],
-                    vec![format!("y#{r}")],
-                    move |ctx| collapse_job(ctx, &name_ck, ctx.get(&h2)?, 2, false),
-                )?);
+                ys.push(batch.submit(name_ck.clone(), move |ctx| {
+                    collapse_job(ctx, &name_ck, ctx.get(&h2)?, 2, false)
+                })?);
             }
             batch.run(cluster)?;
             for (r, h) in ys.into_iter().enumerate() {
@@ -171,59 +151,40 @@ pub fn mttkrp(
             // Algorithm 8: R Hadamard expansions per side (all independent),
             // one PairwiseMerge — critical path 2.
             let bin_records = tensor_records(&xc.bin());
-            let mut batch = Batch::with_graph(&graph);
+            let mut batch = Batch::new(&graph);
             let mut tp = Vec::with_capacity(r_dim);
             for r in 0..r_dim {
                 let name = format!("parafac-drn-had-b{r}");
                 let b_col = f1.col(r);
-                tp.push(batch.submit(
-                    name.clone(),
-                    vec!["x".into()],
-                    vec![format!("t_prime#{r}")],
-                    {
-                        let x_records = &x_records;
-                        move |ctx| {
-                            hadamard_vec_job(ctx, &name, x_records, 1, &b_col, Some(r as u64))
-                        }
-                    },
-                )?);
+                tp.push(batch.submit(name.clone(), {
+                    let x_records = &x_records;
+                    move |ctx| hadamard_vec_job(ctx, &name, x_records, 1, &b_col, Some(r as u64))
+                })?);
             }
             let mut tdp = Vec::with_capacity(r_dim);
             for r in 0..r_dim {
                 let name = format!("parafac-drn-had-c{r}");
                 let c_col = f2.col(r);
-                tdp.push(batch.submit(
-                    name.clone(),
-                    vec!["x_bin".into()],
-                    vec![format!("t_dprime#{r}")],
-                    {
-                        let bin_records = &bin_records;
-                        move |ctx| {
-                            hadamard_vec_job(ctx, &name, bin_records, 2, &c_col, Some(r as u64))
-                        }
-                    },
-                )?);
+                tdp.push(batch.submit(name.clone(), {
+                    let bin_records = &bin_records;
+                    move |ctx| hadamard_vec_job(ctx, &name, bin_records, 2, &c_col, Some(r as u64))
+                })?);
             }
-            let y = batch.submit(
-                "parafac-drn-pairwisemerge",
-                vec!["t_prime".into(), "t_dprime".into()],
-                vec!["y".into()],
-                {
-                    let tp = tp.clone();
-                    let tdp = tdp.clone();
-                    move |ctx| {
-                        let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                        for h in &tp {
-                            t_prime.extend(ctx.get(h)?.iter().copied());
-                        }
-                        let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                        for h in &tdp {
-                            t_dprime.extend(ctx.get(h)?.iter().copied());
-                        }
-                        pairwise_merge_job(ctx, "parafac-drn-pairwisemerge", &t_prime, &t_dprime)
+            let y = batch.submit("parafac-drn-pairwisemerge", {
+                let tp = tp.clone();
+                let tdp = tdp.clone();
+                move |ctx| {
+                    let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
+                    for h in &tp {
+                        t_prime.extend(ctx.get(h)?.iter().copied());
                     }
-                },
-            )?;
+                    let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
+                    for h in &tdp {
+                        t_dprime.extend(ctx.get(h)?.iter().copied());
+                    }
+                    pairwise_merge_job(ctx, "parafac-drn-pairwisemerge", &t_prime, &t_dprime)
+                }
+            })?;
             batch.run(cluster)?;
             accumulate_pairs(&mut m, &y.take()?);
         }
@@ -231,30 +192,20 @@ pub fn mttkrp(
             // Algorithm 10: IMHP + PairwiseMerge (Q = R in PARAFAC).
             let bt = f1.transpose();
             let ct = f2.transpose();
-            let mut batch = Batch::with_graph(&graph);
-            let imhp = batch.submit(
-                "parafac-dri-imhp",
-                vec!["x".into()],
-                vec!["t_prime".into(), "t_dprime".into()],
-                {
-                    let x_records = &x_records;
-                    let bt = &bt;
-                    let ct = &ct;
-                    move |ctx| imhp_job(ctx, "parafac-dri-imhp", x_records, bt, ct)
-                },
-            )?;
-            let y = batch.submit(
-                "parafac-dri-pairwisemerge",
-                vec!["t_prime".into(), "t_dprime".into()],
-                vec!["y".into()],
-                {
-                    let imhp = imhp.clone();
-                    move |ctx| {
-                        let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                        pairwise_merge_job(ctx, "parafac-dri-pairwisemerge", t_prime, t_dprime)
-                    }
-                },
-            )?;
+            let mut batch = Batch::new(&graph);
+            let imhp = batch.submit("parafac-dri-imhp", {
+                let x_records = &x_records;
+                let bt = &bt;
+                let ct = &ct;
+                move |ctx| imhp_job(ctx, "parafac-dri-imhp", x_records, bt, ct)
+            })?;
+            let y = batch.submit("parafac-dri-pairwisemerge", {
+                let imhp = imhp.clone();
+                move |ctx| {
+                    let (t_prime, t_dprime) = ctx.get(&imhp)?;
+                    pairwise_merge_job(ctx, "parafac-dri-pairwisemerge", t_prime, t_dprime)
+                }
+            })?;
             batch.run(cluster)?;
             accumulate_pairs(&mut m, &y.take()?);
         }

@@ -743,4 +743,54 @@ mod tests {
         assert_eq!(super::imhp_row_elem_bytes(), 8);
         assert_eq!(super::merge_bytes(), 49);
     }
+
+    /// Every instance of `graph` at `env`, in template order, with the
+    /// `(reads, writes)` a `Batch` derives for it.
+    fn derived_wiring(graph: &JobGraph, env: &Env) -> Vec<(String, String, String)> {
+        graph
+            .expand(env)
+            .into_iter()
+            .map(|j| {
+                let (reads, writes) = graph.instance_datasets(&j.name).unwrap();
+                (j.name, reads.join(","), writes.join(","))
+            })
+            .collect()
+    }
+
+    fn wiring(rows: &[(&str, &str, &str)]) -> Vec<(String, String, String)> {
+        rows.iter()
+            .map(|(n, r, w)| (n.to_string(), r.to_string(), w.to_string()))
+            .collect()
+    }
+
+    /// The read/write sets the naive drivers used to hand-write at each
+    /// submit site, pinned literally: per-rank PARAFAC chains read their
+    /// own shard, while Tucker's `tv-c{}` (count R) reads all of `t`
+    /// (count Q).
+    #[test]
+    fn naive_pipelines_derive_the_hand_written_wiring() {
+        let tucker = plan_for(Decomp::Tucker, Variant::Naive);
+        assert_eq!(
+            derived_wiring(&tucker, &env_for([4, 5, 6], 20, 2, 3, 4)),
+            wiring(&[
+                ("tucker-naive-xv-b0", "x", "t#0"),
+                ("tucker-naive-xv-b1", "x", "t#1"),
+                ("tucker-naive-tv-c0", "t", "y#0"),
+                ("tucker-naive-tv-c1", "t", "y#1"),
+                ("tucker-naive-tv-c2", "t", "y#2"),
+            ])
+        );
+        let parafac = plan_for(Decomp::Parafac, Variant::Naive);
+        assert_eq!(
+            derived_wiring(&parafac, &env_for([4, 5, 6], 20, 3, 3, 4)),
+            wiring(&[
+                ("parafac-naive-xb0", "x", "t#0"),
+                ("parafac-naive-xb1", "x", "t#1"),
+                ("parafac-naive-xb2", "x", "t#2"),
+                ("parafac-naive-tc0", "t#0", "y#0"),
+                ("parafac-naive-tc1", "t#1", "y#1"),
+                ("parafac-naive-tc2", "t#2", "y#2"),
+            ])
+        );
+    }
 }

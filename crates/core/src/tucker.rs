@@ -106,18 +106,15 @@ pub fn project(
             // the merged T — one batch, critical path 2.
             let dims4 = [d0, d1, d2, 1];
             let t_dims = [d0, q_dim, d2, 1];
-            let mut batch = Batch::with_graph(&graph);
+            let mut batch = Batch::new(&graph);
             let mut parts = Vec::with_capacity(u1.rows());
             for q in 0..u1.rows() {
                 let name = format!("tucker-naive-xv-b{q}");
                 let x_records = &x_records;
                 let row = u1.row(q);
-                parts.push(batch.submit(
-                    name.clone(),
-                    vec!["x".into()],
-                    vec![format!("t#{q}")],
-                    move |ctx| naive_ttv_job(ctx, &name, x_records, dims4, 1, row),
-                )?);
+                parts.push(batch.submit(name.clone(), move |ctx| {
+                    naive_ttv_job(ctx, &name, x_records, dims4, 1, row)
+                })?);
             }
             // Whichever tv job runs first stacks the Q results along slot 1;
             // the others reuse the memoized merge.
@@ -128,27 +125,21 @@ pub fn project(
                 let row = u2.row(r);
                 let parts = parts.clone();
                 let merged_t = Arc::clone(&merged_t);
-                ys.push(batch.submit(
-                    name.clone(),
-                    vec!["t".into()],
-                    vec![format!("y#{r}")],
-                    move |ctx| {
-                        let mut stacked = Vec::with_capacity(parts.len());
-                        for h in &parts {
-                            stacked.push(ctx.get(h)?);
-                        }
-                        let t = merged_t.get_or_init(|| {
-                            let mut t_records: Vec<(Ix4, f64)> = Vec::new();
-                            for (q, out) in stacked.iter().enumerate() {
-                                t_records.extend(
-                                    out.iter().map(|&(ix, v)| ((ix.0, q as u64, ix.2, 0), v)),
-                                );
-                            }
+                ys.push(batch.submit(name.clone(), move |ctx| {
+                    let mut stacked = Vec::with_capacity(parts.len());
+                    for h in &parts {
+                        stacked.push(ctx.get(h)?);
+                    }
+                    let t = merged_t.get_or_init(|| {
+                        let mut t_records: Vec<(Ix4, f64)> = Vec::new();
+                        for (q, out) in stacked.iter().enumerate() {
                             t_records
-                        });
-                        naive_ttv_job(ctx, &name, t, t_dims, 2, row)
-                    },
-                )?);
+                                .extend(out.iter().map(|&(ix, v)| ((ix.0, q as u64, ix.2, 0), v)));
+                        }
+                        t_records
+                    });
+                    naive_ttv_job(ctx, &name, t, t_dims, 2, row)
+                })?);
             }
             batch.run(cluster)?;
             let mut y = Vec::new();
@@ -165,67 +156,50 @@ pub fn project(
             // Algorithm 5: Hadamard per column, Collapse, repeat, Collapse —
             // one batch, critical path 4.
             let use_combiner = opts.use_combiner;
-            let mut batch = Batch::with_graph(&graph);
+            let mut batch = Batch::new(&graph);
             let mut hb = Vec::with_capacity(u1.rows());
             for q in 0..u1.rows() {
                 let name = format!("tucker-dnn-had-b{q}");
                 let x_records = &x_records;
                 let row = u1.row(q);
-                hb.push(batch.submit(
-                    name.clone(),
-                    vec!["x".into()],
-                    vec![format!("t_prime#{q}")],
-                    move |ctx| hadamard_vec_job(ctx, &name, x_records, 1, row, Some(q as u64)),
-                )?);
+                hb.push(batch.submit(name.clone(), move |ctx| {
+                    hadamard_vec_job(ctx, &name, x_records, 1, row, Some(q as u64))
+                })?);
             }
-            let t = batch.submit(
-                "tucker-dnn-collapse-j",
-                vec!["t_prime".into()],
-                vec!["t".into()],
-                {
-                    let hb = hb.clone();
-                    move |ctx| {
-                        let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                        for h in &hb {
-                            t_prime.extend(ctx.get(h)?.iter().copied());
-                        }
-                        let t =
-                            collapse_job(ctx, "tucker-dnn-collapse-j", &t_prime, 1, use_combiner)?;
-                        // T(x0, 0, k, q): move q into slot 1 so slot 3 is
-                        // free for r.
-                        Ok(t.into_iter()
-                            .map(|(ix, v)| ((ix.0, ix.3, ix.2, 0), v))
-                            .collect::<Vec<(Ix4, f64)>>())
+            let t = batch.submit("tucker-dnn-collapse-j", {
+                let hb = hb.clone();
+                move |ctx| {
+                    let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
+                    for h in &hb {
+                        t_prime.extend(ctx.get(h)?.iter().copied());
                     }
-                },
-            )?;
+                    let t = collapse_job(ctx, "tucker-dnn-collapse-j", &t_prime, 1, use_combiner)?;
+                    // T(x0, 0, k, q): move q into slot 1 so slot 3 is free
+                    // for r.
+                    Ok(t.into_iter()
+                        .map(|(ix, v)| ((ix.0, ix.3, ix.2, 0), v))
+                        .collect::<Vec<(Ix4, f64)>>())
+                }
+            })?;
             let mut hc = Vec::with_capacity(u2.rows());
             for r in 0..u2.rows() {
                 let name = format!("tucker-dnn-had-c{r}");
                 let row = u2.row(r);
                 let t = t.clone();
-                hc.push(batch.submit(
-                    name.clone(),
-                    vec!["t".into()],
-                    vec![format!("y_prime#{r}")],
-                    move |ctx| hadamard_vec_job(ctx, &name, ctx.get(&t)?, 2, row, Some(r as u64)),
-                )?);
+                hc.push(batch.submit(name.clone(), move |ctx| {
+                    hadamard_vec_job(ctx, &name, ctx.get(&t)?, 2, row, Some(r as u64))
+                })?);
             }
-            let y = batch.submit(
-                "tucker-dnn-collapse-k",
-                vec!["y_prime".into()],
-                vec!["y".into()],
-                {
-                    let hc = hc.clone();
-                    move |ctx| {
-                        let mut y_prime: Vec<(Ix4, f64)> = Vec::new();
-                        for h in &hc {
-                            y_prime.extend(ctx.get(h)?.iter().copied());
-                        }
-                        collapse_job(ctx, "tucker-dnn-collapse-k", &y_prime, 2, use_combiner)
+            let y = batch.submit("tucker-dnn-collapse-k", {
+                let hc = hc.clone();
+                move |ctx| {
+                    let mut y_prime: Vec<(Ix4, f64)> = Vec::new();
+                    for h in &hc {
+                        y_prime.extend(ctx.get(h)?.iter().copied());
                     }
-                },
-            )?;
+                    collapse_job(ctx, "tucker-dnn-collapse-k", &y_prime, 2, use_combiner)
+                }
+            })?;
             batch.run(cluster)?;
             // Y(x0, q, 0, r) -> (x0, q, r, 0)
             y.take()?
@@ -237,78 +211,57 @@ pub fn project(
             // Algorithm 7: independent Hadamard expansions, then CrossMerge —
             // one batch, critical path 2.
             let bin_records = tensor_records(&xc.bin());
-            let mut batch = Batch::with_graph(&graph);
+            let mut batch = Batch::new(&graph);
             let mut tp = Vec::with_capacity(u1.rows());
             for q in 0..u1.rows() {
                 let name = format!("tucker-drn-had-b{q}");
                 let x_records = &x_records;
                 let row = u1.row(q);
-                tp.push(batch.submit(
-                    name.clone(),
-                    vec!["x".into()],
-                    vec![format!("t_prime#{q}")],
-                    move |ctx| hadamard_vec_job(ctx, &name, x_records, 1, row, Some(q as u64)),
-                )?);
+                tp.push(batch.submit(name.clone(), move |ctx| {
+                    hadamard_vec_job(ctx, &name, x_records, 1, row, Some(q as u64))
+                })?);
             }
             let mut tdp = Vec::with_capacity(u2.rows());
             for r in 0..u2.rows() {
                 let name = format!("tucker-drn-had-c{r}");
                 let bin_records = &bin_records;
                 let row = u2.row(r);
-                tdp.push(batch.submit(
-                    name.clone(),
-                    vec!["x_bin".into()],
-                    vec![format!("t_dprime#{r}")],
-                    move |ctx| hadamard_vec_job(ctx, &name, bin_records, 2, row, Some(r as u64)),
-                )?);
+                tdp.push(batch.submit(name.clone(), move |ctx| {
+                    hadamard_vec_job(ctx, &name, bin_records, 2, row, Some(r as u64))
+                })?);
             }
-            let y = batch.submit(
-                "tucker-drn-crossmerge",
-                vec!["t_prime".into(), "t_dprime".into()],
-                vec!["y".into()],
-                {
-                    let tp = tp.clone();
-                    let tdp = tdp.clone();
-                    move |ctx| {
-                        let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
-                        for h in &tp {
-                            t_prime.extend(ctx.get(h)?.iter().copied());
-                        }
-                        let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
-                        for h in &tdp {
-                            t_dprime.extend(ctx.get(h)?.iter().copied());
-                        }
-                        cross_merge_job(ctx, "tucker-drn-crossmerge", &t_prime, &t_dprime)
+            let y = batch.submit("tucker-drn-crossmerge", {
+                let tp = tp.clone();
+                let tdp = tdp.clone();
+                move |ctx| {
+                    let mut t_prime: Vec<(Ix4, f64)> = Vec::new();
+                    for h in &tp {
+                        t_prime.extend(ctx.get(h)?.iter().copied());
                     }
-                },
-            )?;
+                    let mut t_dprime: Vec<(Ix4, f64)> = Vec::new();
+                    for h in &tdp {
+                        t_dprime.extend(ctx.get(h)?.iter().copied());
+                    }
+                    cross_merge_job(ctx, "tucker-drn-crossmerge", &t_prime, &t_dprime)
+                }
+            })?;
             batch.run(cluster)?;
             y.take()?
         }
         Variant::Dri => {
             // Algorithm 9: one IMHP job + one CrossMerge job.
-            let mut batch = Batch::with_graph(&graph);
-            let imhp = batch.submit(
-                "tucker-dri-imhp",
-                vec!["x".into()],
-                vec!["t_prime".into(), "t_dprime".into()],
-                {
-                    let x_records = &x_records;
-                    move |ctx| imhp_job(ctx, "tucker-dri-imhp", x_records, u1, u2)
-                },
-            )?;
-            let y = batch.submit(
-                "tucker-dri-crossmerge",
-                vec!["t_prime".into(), "t_dprime".into()],
-                vec!["y".into()],
-                {
-                    let imhp = imhp.clone();
-                    move |ctx| {
-                        let (t_prime, t_dprime) = ctx.get(&imhp)?;
-                        cross_merge_job(ctx, "tucker-dri-crossmerge", t_prime, t_dprime)
-                    }
-                },
-            )?;
+            let mut batch = Batch::new(&graph);
+            let imhp = batch.submit("tucker-dri-imhp", {
+                let x_records = &x_records;
+                move |ctx| imhp_job(ctx, "tucker-dri-imhp", x_records, u1, u2)
+            })?;
+            let y = batch.submit("tucker-dri-crossmerge", {
+                let imhp = imhp.clone();
+                move |ctx| {
+                    let (t_prime, t_dprime) = ctx.get(&imhp)?;
+                    cross_merge_job(ctx, "tucker-dri-crossmerge", t_prime, t_dprime)
+                }
+            })?;
             batch.run(cluster)?;
             y.take()?
         }

@@ -313,7 +313,7 @@ impl Cluster {
 
     /// Every race the dynamic detector flagged on this cluster so far.
     /// Only exists under the `race-detect` feature; the chaos harness
-    /// cross-validates this against the static certification.
+    /// fails on any entry.
     #[cfg(feature = "race-detect")]
     pub fn race_reports(&self) -> Vec<crate::race::RaceReport> {
         self.races

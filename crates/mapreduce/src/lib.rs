@@ -40,8 +40,8 @@
 //!   `haten2-analyze` crate can verify the paper's static cost table
 //!   *before* a job runs.
 //! * **A DAG-aware job scheduler** — pipelines submit [`sched::Batch`]es
-//!   of jobs with declared dataset read/write sets (validated against the
-//!   plan IR); a ready-queue dispatches any job whose inputs are available
+//!   of jobs whose dataset read/write sets are derived from the plan IR;
+//!   a ready-queue dispatches any job whose inputs are available
 //!   onto the shared worker pool, interleaving tasks from concurrent
 //!   jobs. Results still *commit* in submission order and fault schedules
 //!   are keyed by submission index, so outputs, DFS contents, and metrics
@@ -87,7 +87,7 @@ pub use pool::WorkerPool;
 #[cfg(feature = "race-detect")]
 pub use race::RaceReport;
 pub use reference::{run_job_reference, run_job_reference_streaming};
-pub use sched::{datasets_overlap, Batch, BatchResults, JobCtx, JobHandle};
+pub use sched::{Batch, BatchResults, JobCtx, JobHandle};
 pub use size::EstimateSize;
 
 /// Whether the dynamic race detector is compiled into this build of the
@@ -166,9 +166,8 @@ pub enum MrError {
         planned: String,
     },
     /// A scheduler batch disagreed with the static plan: a submitted job
-    /// does not match any [`plan::JobGraph`] template, declared reads or
-    /// writes that the plan does not, ran a job it never declared, or
-    /// touched an output it never claimed as a dependency.
+    /// does not match any [`plan::JobGraph`] template, ran a job it never
+    /// declared, or touched an output it never claimed as a dependency.
     PlanViolation {
         /// The offending job (or batch) name.
         job: String,
@@ -205,8 +204,7 @@ pub enum MrError {
     /// Two jobs of the same batch declared a write to the *same exact*
     /// dataset shard. The scheduler would silently serialize them into a
     /// last-writer-wins WAW edge; rejecting at submission time keeps every
-    /// shard single-writer, which is what the static race certification
-    /// assumes.
+    /// shard single-writer within a batch.
     DuplicateWrite {
         /// Job whose submission was rejected.
         job: String,

@@ -57,7 +57,7 @@ impl Lineage {
 
     /// Registry validated against a pipeline plan: every registration must
     /// name the producing job the graph declares for that dataset.
-    pub fn with_graph(graph: JobGraph) -> Self {
+    pub fn for_plan(graph: JobGraph) -> Self {
         Lineage {
             graph: Some(graph),
             ..Lineage::default()
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn register_validates_against_graph() {
-        let lineage = Lineage::with_graph(graph());
+        let lineage = Lineage::for_plan(graph());
         lineage.register("counts", "count", || Ok(())).unwrap();
         let err = lineage
             .register("counts", "wrong-job", || Ok(()))

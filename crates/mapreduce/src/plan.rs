@@ -825,6 +825,40 @@ impl JobGraph {
         self.jobs.iter().find(|j| template_matches(&j.name, name))
     }
 
+    /// The concrete `(reads, writes)` of the job instance `name`, derived
+    /// from its template ([`JobGraph::template_for`]) and the instance
+    /// index the name carries — the only declaration of a job's datasets
+    /// the scheduler ([`crate::Batch`]) knows:
+    ///
+    /// * a repeated template (`count` ≠ 1) writes the shard `base#i` of
+    ///   each dataset; an unrepeated one writes `base`;
+    /// * a repeated template reads `d#i` when `d`'s producer is a repeated
+    ///   template with the same symbolic `count` (a per-instance chain);
+    ///   every other read takes `d` whole.
+    ///
+    /// `None` when no template matches `name`.
+    pub fn instance_datasets(&self, name: &str) -> Option<(Vec<String>, Vec<String>)> {
+        let t = self.template_for(name)?;
+        let repeated = t.count != SymExpr::c(1);
+        let index = match placeholder_digits(&t.name, name)? {
+            Some(i) if repeated => Some(i),
+            _ => None,
+        };
+        let shard = |d: &String| match index {
+            Some(i) => format!("{d}#{i}"),
+            None => d.clone(),
+        };
+        let reads = t
+            .reads
+            .iter()
+            .map(|d| match self.producer_job(d) {
+                Some(p) if p.count == t.count => shard(d),
+                _ => d.clone(),
+            })
+            .collect();
+        Some((reads, t.writes.iter().map(shard).collect()))
+    }
+
     /// Derived `map_emit_hint` for the named job: the template's
     /// per-instance emitted records divided by its input records, both
     /// evaluated at a generic-position reference environment. Replaces the
@@ -921,16 +955,18 @@ impl JobGraph {
 /// concrete job name? The placeholder must stand for a non-empty run of
 /// digits, mirroring how [`JobGraph::expand`] instantiates names.
 pub fn template_matches(template: &str, name: &str) -> bool {
+    placeholder_digits(template, name).is_some()
+}
+
+/// Match `name` against `template`: `None` when it does not match,
+/// `Some(None)` for a plain template, `Some(Some(digits))` with the run
+/// of digits the `{}` placeholder stands for.
+fn placeholder_digits<'n>(template: &str, name: &'n str) -> Option<Option<&'n str>> {
     match template.split_once("{}") {
-        None => template == name,
+        None => (template == name).then_some(None),
         Some((prefix, suffix)) => {
-            let Some(rest) = name.strip_prefix(prefix) else {
-                return false;
-            };
-            let Some(mid) = rest.strip_suffix(suffix) else {
-                return false;
-            };
-            !mid.is_empty() && mid.bytes().all(|b| b.is_ascii_digit())
+            let mid = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            (!mid.is_empty() && mid.bytes().all(|b| b.is_ascii_digit())).then_some(Some(mid))
         }
     }
 }
@@ -1128,6 +1164,43 @@ mod tests {
         assert!(!template_matches("solo", "solo1"));
         assert!(template_matches("had-{}-b", "had-3-b"));
         assert!(!template_matches("had-{}-b", "had--b"));
+    }
+
+    #[test]
+    fn instance_datasets_shard_repeated_templates_and_their_chains() {
+        let g = JobGraph::new("demo", ["x"])
+            .output("y")
+            .job(
+                PlanJob::new("a{}")
+                    .repeat(SymExpr::rank_q())
+                    .reads(["x"])
+                    .writes(["t"]),
+            )
+            .job(
+                PlanJob::new("b{}")
+                    .repeat(SymExpr::rank_q())
+                    .reads(["t"])
+                    .writes(["u"]),
+            )
+            .job(
+                PlanJob::new("c{}")
+                    .repeat(SymExpr::rank_r())
+                    .reads(["u"])
+                    .writes(["v"]),
+            )
+            .job(PlanJob::new("d").reads(["t", "v"]).writes(["y"]));
+        let sets = |name: &str| {
+            let (r, w) = g.instance_datasets(name).unwrap();
+            (r.join(","), w.join(","))
+        };
+        // A repeated template writes its own shard; a same-count consumer
+        // reads that shard, any other consumer reads the whole dataset.
+        assert_eq!(sets("a3"), ("x".into(), "t#3".into()));
+        assert_eq!(sets("b3"), ("t#3".into(), "u#3".into()));
+        assert_eq!(sets("c1"), ("u".into(), "v#1".into()));
+        assert_eq!(sets("d"), ("t,v".into(), "y".into()));
+        assert_eq!(g.instance_datasets("a"), None);
+        assert_eq!(g.instance_datasets("e"), None);
     }
 
     #[test]

@@ -250,7 +250,14 @@ fn worker_loop(shared: &Shared) {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under the
+        // same lock right before parking, so the wakeup below cannot fall
+        // between its check and its wait (a lost wakeup would leave the
+        // join hanging forever).
+        {
+            let _queue = self.shared.queue.lock().expect("pool queue poisoned");
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for handle in self.handles.drain(..) {
             // A worker can only panic if a job's panic escaped catch_unwind,

@@ -7,9 +7,9 @@
 //! `JobCtx::get`, declared writes at commit. The detector keeps a
 //! per-dataset last-writer/readers table stamped with commit epochs and
 //! flags any access whose job is *unordered* with a conflicting prior
-//! access — exactly the condition the static `races` pass certifies can
-//! never happen, which is what makes the static ⊆ dynamic cross-validation
-//! in the chaos harness meaningful.
+//! access — the condition plan-derived read/write sets rule out by
+//! construction, so any flag in the chaos harness is a bug in that
+//! construction.
 //!
 //! Ordering is judged against declared dependencies, not wall clock, so a
 //! race is flagged deterministically on every run regardless of how the

@@ -4,10 +4,12 @@
 //! HaTen2's cost model counts *jobs* because Hadoop's JobTracker admits
 //! them one at a time — but the Naive/DNN/DRN variants issue `Q+R`
 //! (Tucker) and `2R`/`4R` (PARAFAC) per-column jobs per sweep that are
-//! mutually independent. A [`Batch`] lets a pipeline submit those jobs
-//! with declared dataset read/write sets; [`Batch::run`] builds the
-//! dependency DAG, validates it against the pipeline's static
-//! [`JobGraph`], and dispatches any job whose inputs are available onto
+//! mutually independent. A [`Batch`] is built from the pipeline's
+//! [`JobGraph`] and lets the pipeline submit those jobs by name: each
+//! job's dataset read/write sets are derived from its plan template
+//! ([`JobGraph::instance_datasets`]), never written by hand, so the
+//! schedule cannot disagree with the plan. [`Batch::run`] builds the
+//! dependency DAG and dispatches any job whose inputs are available onto
 //! the cluster's shared [`crate::pool::WorkerPool`], interleaving map and
 //! reduce tasks from concurrent jobs. The paper's "number of jobs" column
 //! becomes a *critical-path depth* ([`JobGraph::critical_path_jobs`]).
@@ -37,7 +39,8 @@
 //! to, alongside the per-job [`crate::reference::run_job_reference`].
 //!
 //! **Dataset naming.** Reads/writes are plain dataset names, optionally
-//! sharded as `base#shard` (e.g. the per-column `t#3`). Two declarations
+//! sharded as `base#shard` (e.g. the per-column `t#3` a repeated
+//! template's fourth instance writes). Two declarations
 //! conflict when their bases match and either side is unsharded or both
 //! name the same shard — so per-column writers `t#0`, `t#1`, … are
 //! mutually independent while a reader of `t` depends on all of them.
@@ -112,7 +115,7 @@ impl<T> JobHandle<T> {
 /// outputs of its declared dependencies.
 pub struct JobCtx<'c> {
     cluster: &'c Cluster,
-    graph: Option<&'c JobGraph>,
+    graph: &'c JobGraph,
     job_index: usize,
     name: &'c str,
     ran: &'c AtomicBool,
@@ -193,7 +196,7 @@ impl JobSite for JobCtx<'_> {
     }
 
     fn derived_emit_hint(&self, name: &str) -> Option<usize> {
-        self.graph.and_then(|g| g.emit_hint(name))
+        self.graph.emit_hint(name)
     }
 
     fn before_run(&self, name: &str) -> crate::Result<()> {
@@ -269,19 +272,25 @@ impl BatchResults {
     }
 }
 
-/// A batch of jobs with declared dataset read/write sets, executed by
-/// [`Batch::run`] according to the cluster's
-/// [`SchedulerMode`](crate::cluster::SchedulerMode).
+/// A batch of jobs of one [`JobGraph`], executed by [`Batch::run`]
+/// according to the cluster's
+/// [`SchedulerMode`](crate::cluster::SchedulerMode). Each job's dataset
+/// read/write sets come from the graph
+/// ([`JobGraph::instance_datasets`]).
 ///
 /// ```
-/// use haten2_mapreduce::{run_job, Batch, Cluster, ClusterConfig, JobSpec};
+/// use haten2_mapreduce::{run_job, Batch, Cluster, ClusterConfig, JobGraph, JobSpec, PlanJob};
 ///
+/// let plan = JobGraph::new("demo", ["x"])
+///     .output("s")
+///     .job(PlanJob::new("double").reads(["x"]).writes(["d"]))
+///     .job(PlanJob::new("sum").reads(["d"]).writes(["s"]));
 /// let cluster = Cluster::new(ClusterConfig::with_machines(2));
 /// let input = vec![(0u64, 2.0f64), (1, 3.0)];
-/// let mut batch = Batch::new();
-/// // Two independent scale jobs (they could run concurrently)…
+/// let mut batch = Batch::new(&plan);
+/// // A scale job…
 /// let doubled = batch
-///     .submit("double", vec!["x".into()], vec!["d".into()], {
+///     .submit("double", {
 ///         let input = &input;
 ///         move |ctx| {
 ///             run_job(
@@ -294,8 +303,8 @@ impl BatchResults {
 ///         }
 ///     })
 ///     .unwrap();
-/// // …and a dependent sum reading the first job's output.
-/// let total = batch.submit("sum", vec!["d".into()], vec!["s".into()], {
+/// // …and a dependent sum reading its output ("sum" reads "d").
+/// let total = batch.submit("sum", {
 ///     let doubled = doubled.clone();
 ///     move |ctx| {
 ///         let d: &Vec<(u64, f64)> = ctx.get(&doubled)?;
@@ -315,34 +324,17 @@ impl BatchResults {
 /// assert_eq!(cluster.metrics().jobs[0].name, "double"); // submission order
 /// ```
 pub struct Batch<'a> {
-    graph: Option<&'a JobGraph>,
+    graph: &'a JobGraph,
     jobs: Vec<Submitted<'a>>,
 }
 
-impl Default for Batch<'_> {
-    fn default() -> Self {
-        Batch::new()
-    }
-}
-
 impl<'a> Batch<'a> {
-    /// An unvalidated batch (for pipelines without a registered
-    /// [`JobGraph`], e.g. the generic n-way driver).
-    pub fn new() -> Self {
+    /// An empty batch of `graph`'s jobs. The graph supplies every
+    /// submitted job's dataset read/write sets and its derived
+    /// `map_emit_hint` ([`JobGraph::emit_hint`]).
+    pub fn new(graph: &'a JobGraph) -> Self {
         Batch {
-            graph: None,
-            jobs: Vec::new(),
-        }
-    }
-
-    /// A batch validated against `graph` at [`Batch::run`]: every
-    /// submitted job must instantiate one of the graph's templates, with
-    /// declared reads/writes matching the template's (shard suffixes
-    /// `#…` stripped). The graph also supplies derived
-    /// `map_emit_hint`s ([`JobGraph::emit_hint`]).
-    pub fn with_graph(graph: &'a JobGraph) -> Self {
-        Batch {
-            graph: Some(graph),
+            graph,
             jobs: Vec::new(),
         }
     }
@@ -357,31 +349,33 @@ impl<'a> Batch<'a> {
         self.jobs.is_empty()
     }
 
-    /// Submit one job: its concrete name (checked against the `run_job`
-    /// spec it must issue exactly once), the datasets it reads and
-    /// writes (`base` or `base#shard`), and the closure that runs it
-    /// against the provided [`JobCtx`]. Submission order is the commit
-    /// order — and must match what a sequential driver would run, since
-    /// it keys the fault schedule.
+    /// Submit one job: its concrete name (an instance of one of the
+    /// graph's templates, checked against the `run_job` spec it must issue
+    /// exactly once) and the closure that runs it against the provided
+    /// [`JobCtx`]. Its read/write sets are derived from the graph
+    /// ([`JobGraph::instance_datasets`]); a name no template matches is a
+    /// [`MrError::PlanViolation`]. Submission order is the commit order —
+    /// and must match what a sequential driver would run, since it keys
+    /// the fault schedule.
     ///
-    /// Two jobs of one batch declaring a write to the *same exact* shard
-    /// are rejected here with [`MrError::DuplicateWrite`]: the scheduler
-    /// would otherwise serialize them into a silent last-writer-wins WAW
-    /// edge, and the static race certification assumes every shard has a
-    /// single writer per batch. (`t#0` vs `t#1` is fine; `t#0` vs an
-    /// unsharded `t` is an ordinary WAW dependency, not a duplicate.)
-    pub fn submit<T, F>(
-        &mut self,
-        name: impl Into<String>,
-        reads: Vec<String>,
-        writes: Vec<String>,
-        f: F,
-    ) -> crate::Result<JobHandle<T>>
+    /// Two jobs of one batch writing the *same exact* shard (the same
+    /// instance submitted twice) are rejected here with
+    /// [`MrError::DuplicateWrite`]: the scheduler would otherwise
+    /// serialize them into a silent last-writer-wins WAW edge. (`t#0` vs
+    /// `t#1` is fine; `t#0` vs an unsharded `t` is an ordinary WAW
+    /// dependency, not a duplicate.)
+    pub fn submit<T, F>(&mut self, name: impl Into<String>, f: F) -> crate::Result<JobHandle<T>>
     where
         T: Send + Sync + 'static,
         F: FnOnce(&JobCtx<'_>) -> crate::Result<T> + Send + 'a,
     {
         let name = name.into();
+        let Some((reads, writes)) = self.graph.instance_datasets(&name) else {
+            return Err(MrError::PlanViolation {
+                job: name,
+                detail: format!("no template in plan graph '{}' matches", self.graph.name),
+            });
+        };
         for w in &writes {
             if let Some(prior) = self.jobs.iter().find(|p| p.writes.iter().any(|pw| pw == w)) {
                 return Err(MrError::DuplicateWrite {
@@ -437,42 +431,6 @@ impl<'a> Batch<'a> {
         preds
     }
 
-    /// Check every submitted job against the batch's [`JobGraph`].
-    fn validate(&self) -> crate::Result<()> {
-        let Some(graph) = self.graph else {
-            return Ok(());
-        };
-        for job in &self.jobs {
-            let Some(t) = graph.template_for(&job.name) else {
-                return Err(MrError::PlanViolation {
-                    job: job.name.clone(),
-                    detail: format!("no template in plan graph '{}' matches", graph.name),
-                });
-            };
-            let declared_reads = base_set(&job.reads);
-            let declared_writes = base_set(&job.writes);
-            if declared_reads != base_set(&t.reads) {
-                return Err(MrError::PlanViolation {
-                    job: job.name.clone(),
-                    detail: format!(
-                        "declared reads {declared_reads:?} but template '{}' reads {:?}",
-                        t.name, t.reads
-                    ),
-                });
-            }
-            if declared_writes != base_set(&t.writes) {
-                return Err(MrError::PlanViolation {
-                    job: job.name.clone(),
-                    detail: format!(
-                        "declared writes {declared_writes:?} but template '{}' writes {:?}",
-                        t.name, t.writes
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Execute the batch on `cluster` per its configured
     /// [`SchedulerMode`](crate::cluster::SchedulerMode). On success every
     /// job's metrics are recorded in submission order and a
@@ -480,7 +438,6 @@ impl<'a> Batch<'a> {
     /// (submission-order) first failed job is returned, with exactly the
     /// jobs before it recorded — bit-identical to a sequential driver.
     pub fn run(self, cluster: &Cluster) -> crate::Result<BatchResults> {
-        self.validate()?;
         let n = self.jobs.len();
         if n == 0 {
             return Ok(BatchResults {
@@ -758,10 +715,9 @@ fn lpt_pick(queue: &mut Vec<usize>, est: &dyn Fn(usize) -> f64) -> Option<usize>
 }
 
 /// Shard-aware dataset overlap: same base, and either side unsharded or
-/// the same shard. Public because the static race-certification pass in
-/// `haten2-analyze` (and the dynamic detector's conflict test) must agree
-/// with the scheduler's dependency inference on what conflicts.
-pub fn datasets_overlap(a: &str, b: &str) -> bool {
+/// the same shard. Shared with the dynamic race detector, whose conflict
+/// test must agree with the scheduler's dependency inference.
+pub(crate) fn datasets_overlap(a: &str, b: &str) -> bool {
     let (base_a, shard_a) = split_shard(a);
     let (base_b, shard_b) = split_shard(b);
     base_a == base_b
@@ -776,14 +732,6 @@ fn split_shard(name: &str) -> (&str, Option<&str>) {
         Some((base, shard)) => (base, Some(shard)),
         None => (name, None),
     }
-}
-
-/// Shard-stripped, deduplicated, sorted dataset names.
-fn base_set(names: &[String]) -> Vec<String> {
-    let mut out: Vec<String> = names.iter().map(|n| split_shard(n).0.to_string()).collect();
-    out.sort();
-    out.dedup();
-    out
 }
 
 /// Concurrency accounting over the committed jobs of one batch.
@@ -881,30 +829,51 @@ mod tests {
         )
     }
 
+    /// A graph of single-instance templates, each `(name, reads, writes)`.
+    fn plan(jobs: &[(&str, &[&str], &[&str])]) -> JobGraph {
+        jobs.iter()
+            .fold(JobGraph::new("demo", ["x"]), |g, (name, reads, writes)| {
+                let mut job = PlanJob::new(*name);
+                job.reads = reads.iter().map(|d| d.to_string()).collect();
+                job.writes = writes.iter().map(|d| d.to_string()).collect();
+                g.job(job)
+            })
+    }
+
+    /// Per-column chains `scale{}` (x → t#q) → `rescale{}` (t#q → y#q).
+    fn chain_plan() -> JobGraph {
+        JobGraph::new("chains", ["x"])
+            .output("y")
+            .job(
+                PlanJob::new("scale{}")
+                    .repeat(SymExpr::rank_q())
+                    .reads(["x"])
+                    .writes(["t"]),
+            )
+            .job(
+                PlanJob::new("rescale{}")
+                    .repeat(SymExpr::rank_q())
+                    .reads(["t"])
+                    .writes(["y"]),
+            )
+    }
+
     fn submit_chain<'a>(
         batch: &mut Batch<'a>,
         input: &'a [(u64, f64)],
         col: usize,
     ) -> JobHandle<Vec<(u64, f64)>> {
         let first = batch
-            .submit(
-                format!("scale{col}"),
-                vec!["x".into()],
-                vec![format!("t#{col}")],
-                move |ctx| scale_job(ctx, &format!("scale{col}"), input, 2.0),
-            )
+            .submit(format!("scale{col}"), move |ctx| {
+                scale_job(ctx, &format!("scale{col}"), input, 2.0)
+            })
             .unwrap();
         let chained = first.clone();
         batch
-            .submit(
-                format!("rescale{col}"),
-                vec![format!("t#{col}")],
-                vec![format!("y#{col}")],
-                move |ctx| {
-                    let t = ctx.get(&chained)?;
-                    scale_job(ctx, &format!("rescale{col}"), t, 10.0)
-                },
-            )
+            .submit(format!("rescale{col}"), move |ctx| {
+                let t = ctx.get(&chained)?;
+                scale_job(ctx, &format!("rescale{col}"), t, 10.0)
+            })
             .unwrap()
     }
 
@@ -914,9 +883,10 @@ mod tests {
         type ModeOutcome = (Vec<Vec<(u64, f64)>>, RunMetrics);
         let mut all: Vec<ModeOutcome> = Vec::new();
         let mut sims: Vec<(f64, f64)> = Vec::new();
+        let graph = chain_plan();
         for mode in [SchedulerMode::Sequential, SchedulerMode::Dag] {
             let c = cluster(mode);
-            let mut batch = Batch::new();
+            let mut batch = Batch::new(&graph);
             let handles: Vec<_> = (0..3)
                 .map(|col| submit_chain(&mut batch, &input, col))
                 .collect();
@@ -957,9 +927,10 @@ mod tests {
     fn undeclared_dependency_access_is_a_plan_violation() {
         let input = vec![(0u64, 1.0f64)];
         let c = cluster(SchedulerMode::Sequential);
-        let mut batch = Batch::new();
+        let graph = plan(&[("a", &["x"], &["t"]), ("b", &["u"], &["v"])]);
+        let mut batch = Batch::new(&graph);
         let a = batch
-            .submit("a", vec!["x".into()], vec!["t".into()], {
+            .submit("a", {
                 let input = &input;
                 move |ctx| scale_job(ctx, "a", input, 2.0)
             })
@@ -968,7 +939,7 @@ mod tests {
         // even though sequential execution happens to have it available.
         let stolen = a.clone();
         let b = batch
-            .submit("b", vec!["u".into()], vec!["v".into()], move |ctx| {
+            .submit("b", move |ctx| {
                 let t = ctx.get(&stolen)?;
                 scale_job(ctx, "b", t, 1.0)
             })
@@ -988,9 +959,14 @@ mod tests {
     fn name_mismatch_and_double_run_are_plan_violations() {
         let input = vec![(0u64, 1.0f64)];
         let c = cluster(SchedulerMode::Dag);
-        let mut batch = Batch::new();
+        let graph = plan(&[
+            ("declared", &["x"], &["t"]),
+            ("twice", &["x"], &["u"]),
+            ("lazy", &["x"], &["v"]),
+        ]);
+        let mut batch = Batch::new(&graph);
         let _ = batch
-            .submit("declared", vec!["x".into()], vec!["t".into()], {
+            .submit("declared", {
                 let input = &input;
                 move |ctx| scale_job(ctx, "other", input, 2.0)
             })
@@ -998,9 +974,9 @@ mod tests {
         let err = batch.run(&c).unwrap_err();
         assert!(matches!(err, MrError::PlanViolation { .. }), "{err}");
 
-        let mut batch = Batch::new();
+        let mut batch = Batch::new(&graph);
         let _ = batch
-            .submit("twice", vec!["x".into()], vec!["t".into()], {
+            .submit("twice", {
                 let input = &input;
                 move |ctx| {
                     scale_job(ctx, "twice", input, 2.0)?;
@@ -1011,10 +987,8 @@ mod tests {
         let err = batch.run(&c).unwrap_err();
         assert!(matches!(err, MrError::PlanViolation { .. }), "{err}");
 
-        let mut batch = Batch::new();
-        let _: JobHandle<()> = batch
-            .submit("lazy", vec!["x".into()], vec!["t".into()], |_| Ok(()))
-            .unwrap();
+        let mut batch = Batch::new(&graph);
+        let _: JobHandle<()> = batch.submit("lazy", |_| Ok(())).unwrap();
         let err = batch.run(&c).unwrap_err();
         assert!(
             matches!(&err, MrError::PlanViolation { detail, .. }
@@ -1026,17 +1000,22 @@ mod tests {
     #[test]
     fn failure_skips_dependents_and_commits_prefix() {
         let input = vec![(0u64, 1.0f64)];
+        let graph = plan(&[
+            ("ok0", &["x"], &["a"]),
+            ("boom", &["x"], &["b"]),
+            ("after", &["b"], &["c"]),
+        ]);
         for mode in [SchedulerMode::Sequential, SchedulerMode::Dag] {
             let c = cluster(mode);
-            let mut batch = Batch::new();
+            let mut batch = Batch::new(&graph);
             let _ = batch
-                .submit("ok0", vec!["x".into()], vec!["a".into()], {
+                .submit("ok0", {
                     let input = &input;
                     move |ctx| scale_job(ctx, "ok0", input, 2.0)
                 })
                 .unwrap();
             let _: JobHandle<Vec<(u64, f64)>> = batch
-                .submit("boom", vec!["x".into()], vec!["b".into()], move |_| {
+                .submit("boom", move |_| {
                     Err(MrError::DatasetMissing {
                         job: "boom".to_string(),
                         dataset: "x".to_string(),
@@ -1044,8 +1023,8 @@ mod tests {
                 })
                 .unwrap();
             let _: JobHandle<()> = batch
-                .submit("after", vec!["b".into()], vec!["c".into()], {
-                    move |_| panic!("dependent of a failed job must never run")
+                .submit("after", move |_| {
+                    panic!("dependent of a failed job must never run")
                 })
                 .unwrap();
             let err = batch.run(&c).unwrap_err();
@@ -1056,74 +1035,50 @@ mod tests {
     }
 
     #[test]
-    fn graph_validation_rejects_wrong_wiring() {
+    fn unknown_job_name_is_rejected_at_submit() {
+        let graph = plan(&[("stage-a", &["x"], &["t"])]);
+        let mut batch = Batch::new(&graph);
+        let err = match batch.submit::<(), _>("mystery", |_| Ok(())) {
+            Err(e) => e,
+            Ok(_) => panic!("a name no template matches must be rejected"),
+        };
+        assert!(
+            matches!(&err, MrError::PlanViolation { job, detail }
+                if job == "mystery" && detail.contains("template")),
+            "{err}"
+        );
+        assert!(batch.is_empty(), "rejected job must not be queued");
+    }
+
+    #[test]
+    fn derived_sets_order_sharded_writers_before_their_merge() {
+        // stage-a{} writes t#q per instance; stage-b reads t whole, so it
+        // waits for every shard: critical path 2 over 3 jobs.
         let graph = JobGraph::new("demo", ["x"])
+            .output("y")
             .job(
                 PlanJob::new("stage-a{}")
                     .repeat(SymExpr::rank_q())
                     .reads(["x"])
-                    .writes(["t"])
-                    .emits(SymExpr::nnz(), SymExpr::nnz()),
+                    .writes(["t"]),
             )
-            .job(
-                PlanJob::new("stage-b")
-                    .reads(["t"])
-                    .writes(["y"])
-                    .emits(SymExpr::nnz(), SymExpr::nnz()),
-            );
+            .job(PlanJob::new("stage-b").reads(["t"]).writes(["y"]));
         let input = vec![(0u64, 1.0f64)];
         let c = cluster(SchedulerMode::Dag);
-
-        // Unknown name.
-        let mut batch = Batch::with_graph(&graph);
-        let _ = batch
-            .submit("mystery", vec!["x".into()], vec!["t".into()], {
-                let input = &input;
-                move |ctx| scale_job(ctx, "mystery", input, 2.0)
-            })
-            .unwrap();
-        let err = batch.run(&c).unwrap_err();
-        assert!(
-            matches!(&err, MrError::PlanViolation { detail, .. } if detail.contains("template")),
-            "{err}"
-        );
-
-        // Wrong reads.
-        let mut batch = Batch::with_graph(&graph);
-        let _ = batch
-            .submit("stage-b", vec!["x".into()], vec!["y".into()], {
-                let input = &input;
-                move |ctx| scale_job(ctx, "stage-b", input, 2.0)
-            })
-            .unwrap();
-        let err = batch.run(&c).unwrap_err();
-        assert!(
-            matches!(&err, MrError::PlanViolation { detail, .. } if detail.contains("reads")),
-            "{err}"
-        );
-        // Validation precedes execution: nothing ran or committed.
-        assert_eq!(c.jobs_run(), 0);
-
-        // Correct wiring passes, sharded writes included.
-        let mut batch = Batch::with_graph(&graph);
+        let mut batch = Batch::new(&graph);
         let handles: Vec<_> = (0..2)
             .map(|q| {
                 batch
-                    .submit(
-                        format!("stage-a{q}"),
-                        vec!["x".into()],
-                        vec![format!("t#{q}")],
-                        {
-                            let input = &input;
-                            move |ctx| scale_job(ctx, &format!("stage-a{q}"), input, 2.0)
-                        },
-                    )
+                    .submit(format!("stage-a{q}"), {
+                        let input = &input;
+                        move |ctx| scale_job(ctx, &format!("stage-a{q}"), input, 2.0)
+                    })
                     .unwrap()
             })
             .collect();
         let merged = handles.clone();
         let _ = batch
-            .submit("stage-b", vec!["t".into()], vec!["y".into()], move |ctx| {
+            .submit("stage-b", move |ctx| {
                 let mut t: Vec<(u64, f64)> = Vec::new();
                 for h in &merged {
                     t.extend(ctx.get(h)?.iter().copied());
@@ -1152,9 +1107,9 @@ mod tests {
         assert_eq!(graph.emit_hint("stage-a"), Some(2));
         let input = vec![(0u64, 1.0f64), (1, 2.0)];
         let c = cluster(SchedulerMode::Dag);
-        let mut batch = Batch::with_graph(&graph);
+        let mut batch = Batch::new(&graph);
         let h = batch
-            .submit("stage-a", vec!["x".into()], vec!["t".into()], {
+            .submit("stage-a", {
                 let input = &input;
                 move |ctx| {
                     run_job(
@@ -1184,11 +1139,10 @@ mod tests {
             batch: &mut Batch<'a>,
             order: &'a Mutex<Vec<&'static str>>,
             name: &'static str,
-            write: &str,
             input: &'a [(u64, f64)],
         ) -> JobHandle<Vec<(u64, f64)>> {
             batch
-                .submit(name, vec!["x".into()], vec![write.into()], move |ctx| {
+                .submit(name, move |ctx| {
                     order.lock().unwrap().push(name);
                     scale_job(ctx, name, input, 2.0)
                 })
@@ -1201,16 +1155,22 @@ mod tests {
         cfg.threads = 1;
         let c = Cluster::new(cfg);
         let order: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-        let mut batch = Batch::new();
-        let r_small = root(&mut batch, &order, "r_small", "s", &small);
-        let r_big = root(&mut batch, &order, "r_big", "g", &big);
-        let r_last = root(&mut batch, &order, "r_last", "z", &small);
-        for (name, read, upstream) in [("j_small", "s", r_small), ("j_big", "g", r_big)] {
+        let graph = plan(&[
+            ("r_small", &["x"], &["s"]),
+            ("r_big", &["x"], &["g"]),
+            ("r_last", &["x"], &["z"]),
+            ("j_small", &["s", "z"], &["out-j_small"]),
+            ("j_big", &["g", "z"], &["out-j_big"]),
+        ]);
+        let mut batch = Batch::new(&graph);
+        let r_small = root(&mut batch, &order, "r_small", &small);
+        let r_big = root(&mut batch, &order, "r_big", &big);
+        let r_last = root(&mut batch, &order, "r_last", &small);
+        for (name, upstream) in [("j_small", r_small), ("j_big", r_big)] {
             let r_last = r_last.clone();
             let order = &order;
-            let reads = vec![read.to_string(), "z".to_string()];
             let _ = batch
-                .submit(name, reads, vec![format!("out-{name}")], move |ctx| {
+                .submit(name, move |ctx| {
                     order.lock().unwrap().push(name);
                     let mut t = ctx.get(&upstream)?.clone();
                     t.extend(ctx.get(&r_last)?.iter().copied());
@@ -1240,22 +1200,23 @@ mod tests {
         cfg.threads = 1;
         let c = Cluster::new(cfg);
         let order: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let mut batch = Batch::new();
+        let graph = JobGraph::new("demo", ["x"]).job(
+            PlanJob::new("job{}")
+                .repeat(SymExpr::rank_q())
+                .reads(["x"])
+                .writes(["t"]),
+        );
+        let mut batch = Batch::new(&graph);
         for j in 0..4usize {
             let _ = batch
-                .submit(
-                    format!("job{j}"),
-                    vec!["x".into()],
-                    vec![format!("t#{j}")],
-                    {
-                        let input = &input;
-                        let order = &order;
-                        move |ctx| {
-                            order.lock().unwrap().push(j);
-                            scale_job(ctx, &format!("job{j}"), input, 2.0)
-                        }
-                    },
-                )
+                .submit(format!("job{j}"), {
+                    let input = &input;
+                    let order = &order;
+                    move |ctx| {
+                        order.lock().unwrap().push(j);
+                        scale_job(ctx, &format!("job{j}"), input, 2.0)
+                    }
+                })
                 .unwrap();
         }
         batch.run(&c).unwrap();
@@ -1265,11 +1226,12 @@ mod tests {
     #[test]
     fn report_carries_worker_busy_and_heaviest_group() {
         let input: Vec<(u64, f64)> = (0..32).map(|i| (i % 4, i as f64)).collect();
+        let graph = plan(&[("grp", &["x"], &["t"])]);
         for mode in [SchedulerMode::Sequential, SchedulerMode::Dag] {
             let c = cluster(mode);
-            let mut batch = Batch::new();
+            let mut batch = Batch::new(&graph);
             let _ = batch
-                .submit("grp", vec!["x".into()], vec!["t".into()], {
+                .submit("grp", {
                     let input = &input;
                     move |ctx| scale_job(ctx, "grp", input, 2.0)
                 })
@@ -1294,7 +1256,8 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let c = cluster(SchedulerMode::Dag);
-        let results = Batch::new().run(&c).unwrap();
+        let graph = plan(&[]);
+        let results = Batch::new(&graph).run(&c).unwrap();
         assert_eq!(results.report().jobs, 0);
         assert_eq!(c.jobs_run(), 0);
     }
@@ -1312,10 +1275,9 @@ mod tests {
 
     #[test]
     fn take_before_run_or_while_shared_is_an_error() {
-        let mut batch: Batch<'_> = Batch::new();
-        let h: JobHandle<Vec<(u64, f64)>> = batch
-            .submit("a", vec!["x".into()], vec!["t".into()], |_| Ok(Vec::new()))
-            .unwrap();
+        let graph = plan(&[("a", &["x"], &["t"])]);
+        let mut batch = Batch::new(&graph);
+        let h: JobHandle<Vec<(u64, f64)>> = batch.submit("a", |_| Ok(Vec::new())).unwrap();
         let kept = h.clone();
         assert!(matches!(h.take(), Err(MrError::PlanViolation { .. })));
         drop(batch);
@@ -1324,28 +1286,30 @@ mod tests {
 
     #[test]
     fn duplicate_exact_shard_write_is_rejected_at_submission() {
-        let mut batch: Batch<'_> = Batch::new();
-        let _w0: JobHandle<()> = batch
-            .submit("w0", vec!["x".into()], vec!["t#0".into()], |_| Ok(()))
-            .unwrap();
-        let err =
-            match batch.submit::<(), _>("w1", vec!["x".into()], vec!["t#0".into()], |_| Ok(())) {
-                Err(e) => e,
-                Ok(_) => panic!("duplicate exact-shard write must be rejected"),
-            };
+        let graph = JobGraph::new("demo", ["x"])
+            .job(
+                PlanJob::new("w{}")
+                    .repeat(SymExpr::rank_q())
+                    .reads(["x"])
+                    .writes(["t"]),
+            )
+            .job(PlanJob::new("whole").reads(["t"]).writes(["t"]));
+        let mut batch = Batch::new(&graph);
+        let _w0: JobHandle<()> = batch.submit("w0", |_| Ok(())).unwrap();
+        // Submitting the same instance twice writes the same shard twice.
+        let err = match batch.submit::<(), _>("w0", |_| Ok(())) {
+            Err(e) => e,
+            Ok(_) => panic!("duplicate exact-shard write must be rejected"),
+        };
         assert!(
             matches!(&err, MrError::DuplicateWrite { job, prior_job, dataset }
-                if job == "w1" && prior_job == "w0" && dataset == "t#0"),
+                if job == "w0" && prior_job == "w0" && dataset == "t#0"),
             "{err}"
         );
         // A different shard of the same base is a legitimate sibling…
-        let _w2: JobHandle<()> = batch
-            .submit("w2", vec!["x".into()], vec!["t#1".into()], |_| Ok(()))
-            .unwrap();
+        let _w1: JobHandle<()> = batch.submit("w1", |_| Ok(())).unwrap();
         // …and an unsharded write of the base is an ordinary WAW
         // dependency, serialized by `dependencies()`, not a duplicate.
-        let _w3: JobHandle<()> = batch
-            .submit("w3", vec!["t".into()], vec!["t".into()], |_| Ok(()))
-            .unwrap();
+        let _whole: JobHandle<()> = batch.submit("whole", |_| Ok(())).unwrap();
     }
 }

@@ -1,24 +1,23 @@
-//! Mutation property tests for the two-sided race certification.
+//! Mutation property tests for the dynamic race detector.
 //!
-//! Each case builds a *valid* writer/reader batch program, derives its
-//! static effect model, and checks the baseline is clean on both sides:
-//! the effect rules (`haten2_srcscan::effects::check_model`) find
-//! nothing, and a real run with the `race-detect` feature's dynamic
-//! detector flags nothing. Then one of three mutations is applied — drop
-//! a declared read, rename a declared write shard, swap two declared
-//! dependencies — and the same program must be rejected on both sides:
-//! the static pass names the racing pair, and, with the static gate
-//! bypassed (`JobCtx::get_raced`), the dynamic detector flags the same
-//! unordered conflicting access at runtime.
+//! Each case builds a valid writer/reader program — per-column writers
+//! `w{}` (x → `d#i`) and readers `r{}` (`d#i` → `y#i`), wired by a
+//! [`JobGraph`] — and checks that a real run with the `race-detect`
+//! feature's detector flags nothing. Then one of three mutations is
+//! applied, either to the template wiring or to a reader's body — drop
+//! the readers' declared read, rename the writers' output, or have a
+//! reader consume another instance's shard — and, with the declared-
+//! dependency gate bypassed (`JobCtx::get_raced`), the detector must flag
+//! the unordered conflicting access at runtime.
 
 #![cfg(feature = "race-detect")]
 // Test code: `unwrap` is the assertion.
 #![allow(clippy::unwrap_used)]
 
 use haten2_mapreduce::{
-    run_job, Batch, Cluster, ClusterConfig, JobCtx, JobSpec, RaceReport, SchedulerMode,
+    run_job, Batch, Cluster, ClusterConfig, JobCtx, JobGraph, JobSpec, PlanJob, RaceReport,
+    SchedulerMode, SymExpr,
 };
-use haten2_srcscan::effects::{check_model, EffectModel};
 use proptest::prelude::*;
 
 /// Fixed source records every writer maps over.
@@ -38,108 +37,80 @@ fn scale(ctx: &JobCtx<'_>, name: &str, input: &[(u64, f64)], factor: f64) -> Vec
     .expect("in-memory job cannot fail")
 }
 
-/// One seeded defect in an otherwise valid batch program.
+/// One seeded defect in an otherwise valid program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mutation {
-    /// Reader `r` drops its declared read but still consumes the handle.
-    DropRead(usize),
-    /// Writer `w` declares `u#w` while readers still consume its handle.
-    RenameWrite(usize),
-    /// Readers `a` and `b` exchange declared reads, handles unswapped.
+    /// The reader template declares no read of `d`; every reader still
+    /// consumes its writer's handle.
+    DropRead,
+    /// The writer template writes `u` while readers still consume its
+    /// handle (and declare `d`, which nothing writes).
+    RenameWrite,
+    /// Readers `a` and `b` consume each other's writer's handle: a body
+    /// reading another instance's shard.
     SwapReads(usize, usize),
 }
 
-/// Declared read set of reader `r` under `mutation` (the body always
-/// consumes the handle of writer `r % writers`).
-fn declared_reads(r: usize, writers: usize, mutation: Option<Mutation>) -> Vec<String> {
+/// The program's wiring under `mutation`.
+fn plan(mutation: Option<Mutation>) -> JobGraph {
+    let writer = PlanJob::new("w{}").repeat(SymExpr::rank_q()).reads(["x"]);
+    let writer = if mutation == Some(Mutation::RenameWrite) {
+        writer.writes(["u"])
+    } else {
+        writer.writes(["d"])
+    };
+    let reader = PlanJob::new("r{}").repeat(SymExpr::rank_q()).writes(["y"]);
+    let reader = if mutation == Some(Mutation::DropRead) {
+        reader
+    } else {
+        reader.reads(["d"])
+    };
+    JobGraph::new("race-demo", ["x"])
+        .output("y")
+        .job(writer)
+        .job(reader)
+}
+
+/// The writer whose handle reader `r` consumes under `mutation`.
+fn source(r: usize, mutation: Option<Mutation>) -> usize {
     match mutation {
-        Some(Mutation::DropRead(t)) if t == r => Vec::new(),
-        Some(Mutation::SwapReads(a, b)) if r == a => vec![format!("d#{}", b % writers)],
-        Some(Mutation::SwapReads(a, b)) if r == b => vec![format!("d#{}", a % writers)],
-        _ => vec![format!("d#{}", r % writers)],
+        Some(Mutation::SwapReads(a, b)) if r == a => b,
+        Some(Mutation::SwapReads(a, b)) if r == b => a,
+        _ => r,
     }
 }
 
-/// Declared write set of writer `w` under `mutation`.
-fn declared_writes(w: usize, mutation: Option<Mutation>) -> Vec<String> {
-    match mutation {
-        Some(Mutation::RenameWrite(t)) if t == w => vec![format!("u#{w}")],
-        _ => vec![format!("d#{w}")],
-    }
-}
-
-/// The static mirror of the program: one effect model per job in
-/// submission order. A reader's inferred read is its producer's declared
-/// write set — exactly what a handle read reports to the detector.
-fn static_models(writers: usize, readers: usize, mutation: Option<Mutation>) -> Vec<EffectModel> {
-    let mut models = Vec::new();
-    for w in 0..writers {
-        models.push(EffectModel {
-            name: format!("w{w}"),
-            declared_reads: vec!["x".to_string()],
-            declared_writes: declared_writes(w, mutation),
-            ..EffectModel::default()
-        });
-    }
-    for r in 0..readers {
-        models.push(EffectModel {
-            name: format!("r{r}"),
-            declared_reads: declared_reads(r, writers, mutation),
-            declared_writes: vec![format!("y#{r}")],
-            inferred_reads: declared_writes(r % writers, mutation),
-            ..EffectModel::default()
-        });
-    }
-    models
-}
-
-/// Run the program for real on a sequential cluster, bypassing the
-/// static dependency gate (`get_raced`), and return what the dynamic
-/// detector flagged.
-fn run_program(writers: usize, readers: usize, mutation: Option<Mutation>) -> Vec<RaceReport> {
+/// Run the program (`columns` writers and readers) for real on a
+/// sequential cluster, bypassing the declared-dependency gate
+/// (`get_raced`), and return what the dynamic detector flagged.
+fn run_program(columns: usize, mutation: Option<Mutation>) -> Vec<RaceReport> {
     let c = Cluster::new(ClusterConfig {
         scheduler: SchedulerMode::Sequential,
         ..ClusterConfig::with_machines(2)
     });
-    let mut batch = Batch::new();
+    let graph = plan(mutation);
+    let mut batch = Batch::new(&graph);
     let mut handles = Vec::new();
-    for w in 0..writers {
+    for w in 0..columns {
         handles.push(
             batch
-                .submit(
-                    format!("w{w}"),
-                    vec!["x".to_string()],
-                    declared_writes(w, mutation),
-                    move |ctx: &JobCtx<'_>| Ok(scale(ctx, &format!("w{w}"), INPUT, (w + 1) as f64)),
-                )
+                .submit(format!("w{w}"), move |ctx: &JobCtx<'_>| {
+                    Ok(scale(ctx, &format!("w{w}"), INPUT, (w + 1) as f64))
+                })
                 .unwrap(),
         );
     }
-    for r in 0..readers {
-        let h = handles[r % writers].clone();
+    for r in 0..columns {
+        let h = handles[source(r, mutation)].clone();
         batch
-            .submit(
-                format!("r{r}"),
-                declared_reads(r, writers, mutation),
-                vec![format!("y#{r}")],
-                move |ctx: &JobCtx<'_>| {
-                    let upstream = ctx.get_raced(&h)?.clone();
-                    Ok(scale(ctx, &format!("r{r}"), &upstream, 0.5))
-                },
-            )
+            .submit(format!("r{r}"), move |ctx: &JobCtx<'_>| {
+                let upstream = ctx.get_raced(&h)?.clone();
+                Ok(scale(ctx, &format!("r{r}"), &upstream, 0.5))
+            })
             .unwrap();
     }
     batch.run(&c).unwrap();
     c.race_reports()
-}
-
-fn has_static_conflict(models: &[EffectModel], first: &str, second: &str, dataset: &str) -> bool {
-    check_model(models).iter().any(|f| {
-        f.rule == "unordered-conflict"
-            && f.job == first
-            && f.other.as_deref() == Some(second)
-            && f.dataset == dataset
-    })
 }
 
 fn has_dynamic_race(reports: &[RaceReport], first: &str, second: &str, dataset: &str) -> bool {
@@ -151,102 +122,55 @@ fn has_dynamic_race(reports: &[RaceReport], first: &str, second: &str, dataset: 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A well-declared program is clean on both sides: no effect-rule
-    /// finding, no dynamic race — even though every reader goes through
-    /// the unchecked `get_raced` path.
+    /// A well-wired program is clean, even though every reader goes
+    /// through the unchecked `get_raced` path.
     #[test]
-    fn valid_programs_are_clean_on_both_sides(
-        writers in 2usize..5,
-        readers in 2usize..6,
-    ) {
-        let models = static_models(writers, readers, None);
-        prop_assert!(check_model(&models).is_empty());
-        let reports = run_program(writers, readers, None);
+    fn valid_programs_are_clean(columns in 2usize..6) {
+        let reports = run_program(columns, None);
         prop_assert!(reports.is_empty(), "dynamic detector flagged a valid program: {reports:?}");
     }
 
-    /// Dropping a declared read is caught statically (unordered conflict
-    /// naming writer, reader, and shard) and dynamically (same pair, same
-    /// dataset) once the static gate is bypassed.
+    /// Dropping the declared read leaves every reader unordered with the
+    /// writer whose shard it consumes.
     #[test]
-    fn dropped_read_is_caught_statically_and_dynamically(
-        writers in 2usize..5,
-        readers in 2usize..6,
-        pick in 0usize..16,
-    ) {
-        let t = pick % readers;
-        let mutation = Some(Mutation::DropRead(t));
-        let writer = format!("w{}", t % writers);
-        let reader = format!("r{t}");
-        let dataset = format!("d#{}", t % writers);
-
-        let models = static_models(writers, readers, mutation);
+    fn dropped_read_is_caught_dynamically(columns in 2usize..6, pick in 0usize..16) {
+        let t = pick % columns;
+        let reports = run_program(columns, Some(Mutation::DropRead));
         prop_assert!(
-            has_static_conflict(&models, &writer, &reader, &dataset),
-            "static pass missed the race: {:?}", check_model(&models)
-        );
-        let reports = run_program(writers, readers, mutation);
-        prop_assert!(
-            has_dynamic_race(&reports, &writer, &reader, &dataset),
+            has_dynamic_race(&reports, &format!("w{t}"), &format!("r{t}"), &format!("d#{t}")),
             "dynamic detector missed the race: {reports:?}"
         );
     }
 
-    /// Renaming a declared write shard strands every reader of the old
-    /// handle: the handle read now targets a dataset outside the reader's
+    /// Renaming the written dataset strands every reader of the old
+    /// handle: the handle read now targets a shard outside the reader's
     /// declared set, unordered with its producer.
     #[test]
-    fn renamed_write_shard_is_caught_statically_and_dynamically(
-        writers in 2usize..5,
-        readers in 2usize..6,
-        pick in 0usize..16,
-    ) {
-        // Target a writer that has at least one reader.
-        let t = pick % writers.min(readers);
-        let mutation = Some(Mutation::RenameWrite(t));
-        let writer = format!("w{t}");
-        let reader = format!("r{t}");
-        let dataset = format!("u#{t}");
-
-        let models = static_models(writers, readers, mutation);
+    fn renamed_write_is_caught_dynamically(columns in 2usize..6, pick in 0usize..16) {
+        let t = pick % columns;
+        let reports = run_program(columns, Some(Mutation::RenameWrite));
         prop_assert!(
-            has_static_conflict(&models, &writer, &reader, &dataset),
-            "static pass missed the race: {:?}", check_model(&models)
-        );
-        let reports = run_program(writers, readers, mutation);
-        prop_assert!(
-            has_dynamic_race(&reports, &writer, &reader, &dataset),
+            has_dynamic_race(&reports, &format!("w{t}"), &format!("r{t}"), &format!("u#{t}")),
             "dynamic detector missed the race: {reports:?}"
         );
     }
 
-    /// Swapping two declared dependencies races *both* readers against
-    /// their real producers.
+    /// Two readers consuming each other's shard race *both* against the
+    /// writers they actually read.
     #[test]
-    fn swapped_deps_are_caught_statically_and_dynamically(
-        writers in 2usize..5,
-        readers in 2usize..6,
-        pick in 0usize..16,
-    ) {
-        let a = pick % readers;
-        // A second reader whose producer differs from a's: exists because
-        // writers ≥ 2 and readers ≥ 2 cover at least producers 0 and 1.
-        let b = (0..readers).find(|r| r % writers != a % writers).unwrap();
-        let mutation = Some(Mutation::SwapReads(a, b));
-
-        let models = static_models(writers, readers, mutation);
-        let reports = run_program(writers, readers, mutation);
-        for r in [a, b] {
-            let writer = format!("w{}", r % writers);
-            let reader = format!("r{r}");
-            let dataset = format!("d#{}", r % writers);
+    fn swapped_shards_are_caught_dynamically(columns in 2usize..6, pick in 0usize..16) {
+        let a = pick % columns;
+        let b = (a + 1) % columns;
+        let reports = run_program(columns, Some(Mutation::SwapReads(a, b)));
+        for (reader, writer) in [(a, b), (b, a)] {
             prop_assert!(
-                has_static_conflict(&models, &writer, &reader, &dataset),
-                "static pass missed reader {reader}: {:?}", check_model(&models)
-            );
-            prop_assert!(
-                has_dynamic_race(&reports, &writer, &reader, &dataset),
-                "dynamic detector missed reader {reader}: {reports:?}"
+                has_dynamic_race(
+                    &reports,
+                    &format!("w{writer}"),
+                    &format!("r{reader}"),
+                    &format!("d#{writer}"),
+                ),
+                "dynamic detector missed reader r{reader}: {reports:?}"
             );
         }
     }

@@ -26,11 +26,13 @@
 //!   metadata).
 //! * [`rs_files`], [`workspace_root`], [`is_suppressed`] — the shared
 //!   walking and suppression conventions.
+//!
+//! It does not infer which datasets a job touches: scheduled jobs get
+//! their read/write sets from their plan graph, so there is no
+//! hand-written declaration for source scanning to audit.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-
-pub mod effects;
 
 use std::path::{Path, PathBuf};
 

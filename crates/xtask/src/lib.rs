@@ -26,8 +26,8 @@
 //!   `run_job_dfs_recovering` directly is banned in library sources
 //!   outside the `crates/mapreduce` pipeline module that defines them:
 //!   driver crates must submit work through the DAG scheduler's `Batch`,
-//!   which validates declared reads/writes against the plan and commits
-//!   results in submission order.
+//!   which derives each job's reads/writes from the plan graph and
+//!   commits results in submission order.
 //! * **shared-backoff** — retry backoff arithmetic is banned in library
 //!   sources outside `crates/mapreduce/src/fault.rs`: every retry site
 //!   must charge delays through the one `RetryPolicy::backoff_s` helper so
@@ -140,7 +140,7 @@ pub const RULES: &[Rule] = &[
         patterns: &["run_job_dfs"],
         scope: Scope::LibraryCode,
         message: "driver code must submit DFS-backed jobs through the scheduler \
-                  (haten2_mapreduce::Batch) so dependency validation and the \
+                  (haten2_mapreduce::Batch) so plan-derived dependencies and the \
                   deterministic commit order apply; direct run_job_dfs calls are \
                   reserved for the pipeline helpers in crates/mapreduce",
         exempt: &[

@@ -85,7 +85,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> haten2-chaos smoke (fault-transparency + static/dynamic cross-validation)"
+echo "==> haten2-chaos smoke (fault-transparency, recovery certificates, dynamic race detector)"
 cargo run -p haten2-chaos --release --bin haten2-chaos -- --seeds 2 --seed-base 7
 
 echo "==> dag_speedup smoke (scheduler equivalence + 2x simulated speedup on the Naive-Tucker sweep)"

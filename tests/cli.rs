@@ -297,6 +297,34 @@ fn non_finite_input_is_rejected_with_the_line() {
 }
 
 #[test]
+fn non_finite_als_result_fails_without_writing_output() {
+    // Finite values whose squares overflow: the sweep goes non-finite.
+    let dir = tmp_dir("non_finite_als");
+    let tns = dir.join("x.tns");
+    std::fs::write(&tns, "0 0 0 1e308\n1 1 1 1e308\n").unwrap();
+    let cases = [
+        ("tucker", ["--core", "1,1,1"], "tk.core.tns"),
+        ("parafac", ["--rank", "2"], "cp.lambda.txt"),
+    ];
+    for (decomp, args, artifact) in cases {
+        let _ = std::fs::remove_file(dir.join(artifact));
+        let prefix = dir.join(&artifact[..2]);
+        let out = cli()
+            .args(["decompose", decomp, "--input"])
+            .arg(&tns)
+            .args(args)
+            .arg("--out-prefix")
+            .arg(&prefix)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{decomp} reported success: {stderr}");
+        assert!(stderr.contains("non-finite"), "{decomp}: {stderr}");
+        assert!(!dir.join(artifact).exists(), "{decomp} wrote {artifact}");
+    }
+}
+
+#[test]
 fn variant_selection_works() {
     let dir = tmp_dir("variant");
     let tns = dir.join("x.tns");
