@@ -126,7 +126,7 @@ pub fn tucker_als_baseline_met(
     let mut core = DenseTensor3::zeros(core_dims);
     let mut core_norms: Vec<f64> = Vec::new();
     let mut iterations = 0;
-    for sweep in 0..max_iters {
+    for _ in 0..max_iters {
         iterations += 1;
         let mut last_y: Option<CooTensor3> = None;
         for mode in 0..3 {
@@ -144,11 +144,11 @@ pub fn tucker_als_baseline_met(
             };
             let y_canon = permute(&y, perm)?;
             let y_mat = y_canon.matricize(0)?;
-            let sub_opts = SubspaceOptions {
-                seed: seed ^ ((sweep as u64) << 8 | mode as u64),
-                ..Default::default()
-            };
-            factors[mode] = leading_left_singular_vectors(&y_mat, core_dims[mode], &sub_opts)?;
+            factors[mode] = leading_left_singular_vectors(
+                &y_mat,
+                core_dims[mode],
+                &SubspaceOptions::default(),
+            )?;
             if mode == 2 {
                 last_y = Some(y_canon);
             }
@@ -232,7 +232,7 @@ mod tests {
         let x = sparse_random([8, 7, 6], 50, 71);
         let res = tucker_als_baseline(&x, [2, 2, 2], 8, 0.0, 1, None).unwrap();
         for w in res.core_norms.windows(2) {
-            assert!(w[1] >= w[0] - 1e-6, "{:?}", res.core_norms);
+            assert!(w[1] >= w[0] * (1.0 - 1e-10), "{:?}", res.core_norms);
         }
         for f in &res.factors {
             assert!(f.gram().approx_eq(&Mat::identity(f.cols()), 1e-8));

@@ -2,8 +2,7 @@
 //!
 //! * combiner on/off in Collapse jobs (is DNN's win the decoupling or the
 //!   map-side aggregation?),
-//! * DRN vs DRI with identical math (isolates the job-integration effect),
-//! * subspace iteration vs Gram-eigen SVD for the Tucker factor update.
+//! * DRN vs DRI with identical math (isolates the job-integration effect).
 
 // Benchmark harness code: `unwrap` on setup is acceptable (workspace
 // clippy policy allows it outside library code only via this opt-out).
@@ -15,9 +14,8 @@ use haten2_core::records::tensor_records;
 use haten2_core::tucker::{project, ProjectOptions};
 use haten2_core::Variant;
 use haten2_data::random::{random_tensor, RandomTensorConfig};
-use haten2_linalg::{leading_left_singular_vectors, sym_eigen, Mat, SubspaceOptions};
+use haten2_linalg::Mat;
 use haten2_mapreduce::{Cluster, ClusterConfig};
-use haten2_tensor::ops::ttm;
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
 
@@ -76,49 +74,5 @@ fn ablation_job_integration(c: &mut Criterion) {
     g.finish();
 }
 
-/// SVD-step ablation: leading left singular vectors of the matricized
-/// projection via blocked subspace iteration vs via the dense Gram
-/// eigendecomposition.
-fn ablation_svd(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_svd_step");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_millis(800));
-    let i = 400u64;
-    let x = random_tensor(&RandomTensorConfig::cubic(i, 4000, 43));
-    let mut rng = StdRng::seed_from_u64(43);
-    let u1 = Mat::random(6, i as usize, &mut rng);
-    let u2 = Mat::random(6, i as usize, &mut rng);
-    // Build the projected tensor once (this is about the SVD step only).
-    let y = ttm(&ttm(&x, 1, &u1).unwrap(), 2, &u2).unwrap();
-    let y_mat = y.matricize(0).unwrap();
-    let p = 6usize;
-
-    g.bench_function("subspace_iteration", |b| {
-        b.iter(|| leading_left_singular_vectors(&y_mat, p, &SubspaceOptions::default()).unwrap())
-    });
-    g.bench_function("gram_eigen", |b| {
-        b.iter(|| {
-            // Dense route: G = YᵀY (36×36), eigendecompose, U = Y V Λ^{-1/2}.
-            let gram = y_mat.gram_dense().unwrap();
-            let e = sym_eigen(&gram).unwrap();
-            let mut v_top = Mat::zeros(gram.rows(), p);
-            for c in 0..p {
-                for r in 0..gram.rows() {
-                    v_top.set(r, c, e.vectors.get(r, c));
-                }
-            }
-            use haten2_linalg::LinOp;
-            y_mat.apply(&v_top).unwrap()
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    ablation_combiner,
-    ablation_job_integration,
-    ablation_svd
-);
+criterion_group!(benches, ablation_combiner, ablation_job_integration);
 criterion_main!(benches);

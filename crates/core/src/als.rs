@@ -49,9 +49,9 @@ pub struct AlsOptions {
     /// Checkpoint cadence in sweeps (values below 1 behave as 1).
     pub checkpoint_every: usize,
     /// Absolute index of the first sweep this call runs (non-zero when
-    /// resuming from a checkpoint). Keeps sweep-seeded randomness — the
-    /// Tucker subspace-iteration seeds — aligned with the uninterrupted
-    /// run, which is what makes resumed results bit-identical.
+    /// resuming from a checkpoint). Numbers the sweeps of a resumed run
+    /// like the uninterrupted one: in the checkpoint's sweep marker and in
+    /// [`CoreError::NonFinite`].
     pub first_sweep: usize,
 }
 
@@ -309,8 +309,10 @@ pub struct TuckerResult {
 /// Each sweep recomputes, for every mode, the projection of `X` onto the
 /// other two factors (distributed, per the configured variant) and takes
 /// the leading left singular vectors of its matricization (driver-side
-/// subspace iteration over the sparse matricized operator — never
-/// densified). Terminates when `‖G‖` stops increasing.
+/// exact eigensolve of the small `QR×QR` Gram, assembled from products
+/// with the sparse matricized operator — never densified). Each factor
+/// update is optimal, so `‖G‖` is non-decreasing; terminates when it stops
+/// increasing.
 pub fn tucker_als(
     cluster: &Cluster,
     x: &CooTensor3,
@@ -395,14 +397,11 @@ pub fn tucker_als_with_init(
             let y = tucker::project(cluster, opts.variant, x, mode, &u1, &u2, &project_opts)?;
             // Leading left singular vectors of Y₍₁₎ (canonical mode 0).
             let y_mat = y.matricize(0)?;
-            // Seed by the *absolute* sweep index so a checkpoint-resumed
-            // run (first_sweep > 0) replays the identical seed sequence.
-            let abs_sweep = (opts.first_sweep + sweep) as u64;
-            let sub_opts = SubspaceOptions {
-                seed: opts.seed ^ (abs_sweep << 8 | mode as u64),
-                ..Default::default()
-            };
-            factors[mode] = leading_left_singular_vectors(&y_mat, core_dims[mode], &sub_opts)?;
+            factors[mode] = leading_left_singular_vectors(
+                &y_mat,
+                core_dims[mode],
+                &SubspaceOptions::default(),
+            )?;
             if mode == 2 {
                 last_y = Some(y);
             }
@@ -449,7 +448,7 @@ pub fn tucker_als_with_init(
 
 /// Tucker fit `1 − ‖X − X̂‖/‖X‖` from `‖X‖²` and `‖G‖` (`‖X̂‖ = ‖G‖` for
 /// orthonormal factors).
-fn tucker_fit(norm_x_sq: f64, norm_g: f64) -> f64 {
+pub(crate) fn tucker_fit(norm_x_sq: f64, norm_g: f64) -> f64 {
     let norm_x = norm_x_sq.sqrt();
     let err_sq = (norm_x_sq - norm_g * norm_g).max(0.0);
     if norm_x > 0.0 {
@@ -461,7 +460,7 @@ fn tucker_fit(norm_x_sq: f64, norm_g: f64) -> f64 {
 
 /// [`CoreError::NonFinite`] for `stage` of `sweep` unless every value is
 /// finite.
-fn ensure_finite<'v>(
+pub(crate) fn ensure_finite<'v>(
     sweep: usize,
     stage: &'static str,
     values: impl IntoIterator<Item = &'v f64>,
@@ -612,9 +611,10 @@ mod tests {
             ..AlsOptions::with_variant(Variant::Dri)
         };
         let res = tucker_als(&cluster, &x, [2, 2, 2], &opts).unwrap();
+        // Exact factor updates: ‖G‖ never decreases beyond rounding.
         for w in res.core_norms.windows(2) {
             assert!(
-                w[1] >= w[0] - 1e-6,
+                w[1] >= w[0] * (1.0 - 1e-10),
                 "core norms decreased: {:?}",
                 res.core_norms
             );

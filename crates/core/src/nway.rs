@@ -16,8 +16,9 @@
 //! [`JobSpec::with_map_emit_hint`] overrides instead of plan-derived
 //! hints.
 
+use crate::als::{ensure_finite, tucker_fit};
 use crate::{CoreError, Result};
-use haten2_linalg::{pinv, Mat};
+use haten2_linalg::{leading_left_singular_vectors, pinv, thin_qr, Mat, SubspaceOptions};
 use haten2_mapreduce::{
     run_job, Batch, Cluster, EstimateSize, JobGraph, JobSite, JobSpec, PlanJob, RunMetrics,
 };
@@ -274,7 +275,9 @@ pub struct NwayParafacResult {
 }
 
 /// N-way PARAFAC-ALS on the DRI kernels (the paper's N-way formulation in
-/// §II-B1 with the §III framework).
+/// §II-B1 with the §III framework). Every factor update checks the factor
+/// and λ, and every sweep its fit, for finiteness, failing with
+/// [`CoreError::NonFinite`] otherwise.
 pub fn nway_parafac_als(
     cluster: &Cluster,
     x: &DynTensor,
@@ -303,7 +306,7 @@ pub fn nway_parafac_als(
 
     let mut fits = Vec::new();
     let mut iterations = 0;
-    for _ in 0..max_iters {
+    for sweep in 0..max_iters {
         iterations += 1;
         let mut last_m: Option<Mat> = None;
         for mode in 0..n {
@@ -319,6 +322,10 @@ pub fn nway_parafac_als(
             }
             factors[mode] = m.matmul(&pinv(&g)?).map_err(CoreError::Linalg)?;
             lambda = factors[mode].normalize_columns();
+            // Checked per mode: a poisoned factor would otherwise reach the
+            // next mode's pseudoinverse and fail there untyped.
+            ensure_finite(sweep + 1, "factors", factors[mode].data())?;
+            ensure_finite(sweep + 1, "lambda", &lambda)?;
             if mode == n - 1 {
                 last_m = Some(m);
             }
@@ -349,6 +356,7 @@ pub fn nway_parafac_als(
         } else {
             1.0
         };
+        ensure_finite(sweep + 1, "fit", &[fit])?;
         let prev = fits.last().copied();
         fits.push(fit);
         if let Some(p) = prev {
@@ -518,7 +526,10 @@ pub struct NwayTuckerResult {
 /// N-way Tucker-ALS (HOOI) on the DRI kernels — the paper's N-way Tucker
 /// formulation (§II-B2) run through the §III framework: per mode, one
 /// N-way `IMHP` job and one N-way `CrossMerge` job, then a driver-side
-/// subspace iteration on the sparse matricized projection.
+/// exact eigensolve of the small Gram of the sparse matricized projection
+/// (see [`leading_left_singular_vectors`]). Each factor update is optimal,
+/// so `‖G‖` is non-decreasing. Every sweep checks factors, core and fit
+/// for finiteness and fails with [`CoreError::NonFinite`] otherwise.
 pub fn nway_tucker_als(
     cluster: &Cluster,
     x: &DynTensor,
@@ -562,9 +573,7 @@ pub fn nway_tucker_als(
         .dims()
         .iter()
         .zip(core_dims)
-        .map(|(&d, &c)| {
-            haten2_linalg::thin_qr(&Mat::random(d as usize, c, &mut rng)).map_err(CoreError::Linalg)
-        })
+        .map(|(&d, &c)| thin_qr(&Mat::random(d as usize, c, &mut rng)).map_err(CoreError::Linalg))
         .collect::<Result<_>>()?;
     let norm_x_sq: f64 = (0..x.nnz()).map(|e| x.value(e) * x.value(e)).sum();
     let norm_x = norm_x_sq.sqrt();
@@ -580,12 +589,8 @@ pub fn nway_tucker_als(
             let refs: Vec<&Mat> = factors.iter().collect();
             let y = nway_tucker_project(cluster, x, mode, &refs)?;
             let y_mat = y.matricize(0).map_err(CoreError::Tensor)?;
-            let sub_opts = haten2_linalg::SubspaceOptions {
-                seed: seed ^ ((sweep as u64) << 8 | mode as u64),
-                ..Default::default()
-            };
             factors[mode] =
-                haten2_linalg::leading_left_singular_vectors(&y_mat, core_dims[mode], &sub_opts)
+                leading_left_singular_vectors(&y_mat, core_dims[mode], &SubspaceOptions::default())
                     .map_err(CoreError::Linalg)?;
             if mode == n - 1 {
                 last_y = Some(y);
@@ -614,7 +619,14 @@ pub fn nway_tucker_als(
         }
         core = g.coalesce();
 
+        // ‖G‖ is finite exactly when every core entry is (short of
+        // overflow in the sum of squares, which the fit check reports).
         let norm_g = core.fro_norm();
+        for f in &factors {
+            ensure_finite(sweep + 1, "factors", f.data())?;
+        }
+        ensure_finite(sweep + 1, "core", &[norm_g])?;
+        ensure_finite(sweep + 1, "fit", &[tucker_fit(norm_x_sq, norm_g)])?;
         let prev = core_norms.last().copied();
         core_norms.push(norm_g);
         if let Some(p) = prev {
@@ -624,19 +636,12 @@ pub fn nway_tucker_als(
         }
     }
 
-    let norm_g = core_norms.last().copied().unwrap_or(0.0);
-    let err_sq = (norm_x_sq - norm_g * norm_g).max(0.0);
-    let fit = if norm_x > 0.0 {
-        1.0 - err_sq.sqrt() / norm_x
-    } else {
-        1.0
-    };
     Ok(NwayTuckerResult {
         core,
         factors,
+        fit: tucker_fit(norm_x_sq, core_norms.last().copied().unwrap_or(0.0)),
         core_norms,
         iterations,
-        fit,
         metrics: cluster.metrics_since(mark),
     })
 }
@@ -797,7 +802,11 @@ mod tests {
             assert!(f.gram().approx_eq(&Mat::identity(f.cols()), 1e-8));
         }
         for w in res.core_norms.windows(2) {
-            assert!(w[1] >= w[0] - 1e-6, "core norms {:?}", res.core_norms);
+            assert!(
+                w[1] >= w[0] * (1.0 - 1e-10),
+                "core norms {:?}",
+                res.core_norms
+            );
         }
         assert!(res.fit >= 0.0 && res.fit <= 1.0);
         assert_eq!(res.core.dims(), &[2, 2, 2, 2]);
@@ -846,6 +855,36 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig::with_machines(3));
         let res = nway_tucker_als(&cluster, &x, &[2, 2, 2, 2], 8, 1e-12, 13).unwrap();
         assert!(res.fit > 0.999, "fit = {}", res.fit);
+    }
+
+    /// A 4-way tensor with two finite entries whose squares overflow.
+    fn overflowing_four_way() -> DynTensor {
+        let mut x = DynTensor::new(vec![2, 2, 2, 2]);
+        x.push(&[0, 0, 0, 0], 1e308).unwrap();
+        x.push(&[1, 1, 1, 1], 1e308).unwrap();
+        x
+    }
+
+    #[test]
+    fn nway_parafac_non_finite_sweep_is_an_error() {
+        let cluster = Cluster::new(ClusterConfig::with_machines(2));
+        let err = nway_parafac_als(&cluster, &overflowing_four_way(), 2, 5, 0.0, 3).unwrap_err();
+        assert!(
+            matches!(err, CoreError::NonFinite { sweep: 1, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn nway_tucker_non_finite_sweep_is_an_error() {
+        let cluster = Cluster::new(ClusterConfig::with_machines(2));
+        let err = nway_tucker_als(&cluster, &overflowing_four_way(), &[2, 2, 2, 2], 5, 0.0, 3)
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::NonFinite { sweep: 1, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("non-finite"), "{err}");
     }
 
     #[test]

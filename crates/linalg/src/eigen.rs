@@ -4,8 +4,10 @@
 //! simple, which makes it the right tool for the small symmetric matrices
 //! HaTen2 needs: the `R×R` Hadamard Gram matrix `CᵀC * BᵀB` of PARAFAC-ALS
 //! (R ≤ 80 in the paper's sweeps) and the `(QR)×(QR)` Gram matrices behind
-//! small SVDs. Large-I singular vectors never come through here — they use
-//! [`crate::subspace`] instead.
+//! small SVDs and Tucker's factor update. Large-I singular vectors come
+//! through here too, but only via the small side: [`crate::subspace`]
+//! eigendecomposes the `QR×QR` Gram `YᵀY` and never an `I×I` one unless `I`
+//! is the smaller side.
 
 use crate::{LinalgError, Mat, Result};
 

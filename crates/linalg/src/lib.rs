@@ -12,10 +12,10 @@
 //!
 //! Everything here is implemented from scratch (no external linear-algebra
 //! crates): Householder QR, a cyclic Jacobi symmetric eigensolver, an SVD for
-//! small/medium matrices built on the Gram-matrix eigendecomposition, and a
-//! blocked subspace (orthogonal) iteration that extracts leading singular
-//! vectors of tall sparse-multipliable operators without ever forming the
-//! full Gram matrix.
+//! small/medium matrices built on the Gram-matrix eigendecomposition, and an
+//! exact leading-singular-vector solver for tall sparse-multipliable
+//! operators that eigendecomposes the Gram of the *smaller* side, assembled
+//! from operator products, so the large `I×I` Gram is never formed.
 //!
 //! Conventions: all matrices are row-major [`Mat`] with `f64` entries.
 //! Dimensions follow the paper's notation where practical (`I×R` factors,

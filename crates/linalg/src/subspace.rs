@@ -1,19 +1,18 @@
-//! Leading left singular vectors via blocked subspace (orthogonal) iteration.
+//! Leading left singular vectors via an exact eigensolve of the smaller Gram.
 //!
 //! Tucker-ALS (Algorithm 2 of the paper) needs the `P` leading left singular
-//! vectors of a tall matricized tensor `Y₍₁₎ ∈ ℝ^{I×QR}` where `I` can be in
-//! the millions but `P`, `Q`, `R` are small. Forming `Y Yᵀ` (I×I) is the
-//! intermediate-data explosion this paper is about avoiding, so we extract
-//! the subspace by iterating `U ← orth(Y (Yᵀ U))`, which only ever touches
-//! the operator through tall-matrix products. The operator is abstracted as
-//! [`LinOp`] so callers can plug in sparse matricized tensors without
-//! densifying them.
+//! vectors of a matricized tensor `Y₍₁₎ ∈ ℝ^{I×QR}` where `I` can be in the
+//! millions but `P`, `Q`, `R` are small. Forming `Y Yᵀ` (I×I) is the
+//! intermediate-data explosion this paper is about avoiding, so we
+//! eigendecompose the Gram of the *smaller* side instead: the `QR×QR`
+//! matrix `YᵀY` when `QR ≤ I`, and `Y Yᵀ` only when `I` is the smaller
+//! side. The Gram is assembled a few columns at a time from products with
+//! the operator, abstracted as [`LinOp`] so callers can plug in sparse
+//! matricized tensors without densifying them.
 
+use crate::eigen::sym_eigen;
 use crate::qr::thin_qr;
-use crate::vecops::max_abs_diff;
 use crate::{LinalgError, Mat, Result};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// An abstract `m × n` linear operator supporting products with blocks of
 /// vectors. Implemented by dense [`Mat`] here and by sparse matricized
@@ -46,39 +45,32 @@ impl LinOp for Mat {
 }
 
 /// Options for [`leading_left_singular_vectors`].
-#[derive(Debug, Clone)]
+///
+/// The eigensolve is exact and deterministic, so there is nothing left to
+/// tune: `seed` is accepted for source compatibility and ignored.
+#[derive(Debug, Clone, Default)]
 pub struct SubspaceOptions {
-    /// Maximum number of iterations.
-    pub max_iter: usize,
-    /// Convergence tolerance on the change of the projected subspace
-    /// (max-abs difference of `|UᵀU_prev|` from identity).
-    pub tol: f64,
-    /// RNG seed for the random start block.
+    /// Ignored.
     pub seed: u64,
-}
-
-impl Default for SubspaceOptions {
-    fn default() -> Self {
-        SubspaceOptions {
-            max_iter: 200,
-            tol: 1e-10,
-            seed: 0x5eed,
-        }
-    }
 }
 
 /// Compute the `p` leading left singular vectors of an operator `a` as an
 /// `m × p` matrix with orthonormal columns.
 ///
-/// Subspace iteration: start from a random orthonormal block `U₀`, repeat
-/// `U ← orth(A (Aᵀ U))` until the subspace stabilizes. Convergence is
-/// geometric in `(σ_{p+1}/σ_p)²`; clusters at the cutoff converge slowly but
-/// the returned block still spans an invariant subspace to within `tol` of
-/// the best one, which is all ALS needs.
+/// With `k = min(m, n)`, builds the `k × k` Gram of the smaller side
+/// (`AᵀA` when `n ≤ m`, else `AAᵀ`) from products of `a` with `p`-wide
+/// blocks of the identity, so no more than an `m × p` or `n × p` block is
+/// live besides the Gram. The symmetrized Gram goes to [`sym_eigen`]; the
+/// result is `orth(A V_p)` for the top `p` eigenvectors `V_p` of `AᵀA`, or
+/// the top `p` eigenvectors of `AAᵀ` directly. The span is the optimal
+/// rank-`p` one up to the eigensolver's rounding: `‖UᵀA‖²_F` equals the sum
+/// of the `p` largest `σ²`. A non-finite Gram (non-finite entries, or
+/// squares that overflow) yields an all-NaN block rather than an
+/// eigensolver error, so the callers' finiteness checks report it.
 pub fn leading_left_singular_vectors<O: LinOp + ?Sized>(
     a: &O,
     p: usize,
-    opts: &SubspaceOptions,
+    _opts: &SubspaceOptions,
 ) -> Result<Mat> {
     let (m, n) = (a.nrows(), a.ncols());
     if p == 0 {
@@ -90,33 +82,52 @@ pub fn leading_left_singular_vectors<O: LinOp + ?Sized>(
         )));
     }
 
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut u = thin_qr(&Mat::random(m, p, &mut rng))?;
-
-    let mut last_proj: Option<Vec<f64>> = None;
-    for iter in 0..opts.max_iter {
-        let w = a.apply_transpose(&u)?; // n×p
-        let au = a.apply(&w)?; // m×p : A Aᵀ U
-        let next = thin_qr(&au)?;
-
-        // Convergence test: |UᵀU_next| should converge to a fixed rotation;
-        // track the diagonal magnitudes of the cross-projection.
-        let cross = u.transpose().matmul(&next)?;
-        let proj: Vec<f64> = (0..p).map(|j| cross.get(j, j).abs()).collect();
-        u = next;
-        if let Some(prev) = &last_proj {
-            let delta = max_abs_diff(prev, &proj);
-            let near_identity = proj.iter().all(|&d| (d - 1.0).abs() < opts.tol.max(1e-12));
-            if near_identity || (delta < opts.tol && iter > 2) {
-                return Ok(u);
-            }
-        }
-        last_proj = Some(proj);
+    let tall = n <= m;
+    let gram = small_side_gram(a, p, tall)?;
+    if !gram.data().iter().all(|v| v.is_finite()) {
+        return Mat::from_vec(m, p, vec![f64::NAN; m * p]);
     }
-    // Subspace iteration always returns its best iterate: ALS is tolerant to
-    // slightly-unconverged subspaces (it re-solves every sweep), so a hard
-    // error here would be worse than the approximation.
-    Ok(u)
+    let vectors = sym_eigen(&gram)?.vectors;
+    let k = vectors.rows();
+    let mut top = Mat::zeros(k, p);
+    for i in 0..k {
+        top.row_mut(i).copy_from_slice(&vectors.row(i)[..p]);
+    }
+    if tall {
+        thin_qr(&a.apply(&top)?)
+    } else {
+        Ok(top)
+    }
+}
+
+/// Symmetrized Gram of the smaller side of `a` (`AᵀA` when `tall`, else
+/// `AAᵀ`), assembled from `p` columns at a time.
+fn small_side_gram<O: LinOp + ?Sized>(a: &O, p: usize, tall: bool) -> Result<Mat> {
+    let k = if tall { a.ncols() } else { a.nrows() };
+    let mut gram = Mat::zeros(k, k);
+    for start in (0..k).step_by(p) {
+        let width = p.min(k - start);
+        let mut basis = Mat::zeros(k, width);
+        for j in 0..width {
+            basis.set(start + j, j, 1.0);
+        }
+        let cols = if tall {
+            a.apply_transpose(&a.apply(&basis)?)?
+        } else {
+            a.apply(&a.apply_transpose(&basis)?)?
+        };
+        for i in 0..k {
+            gram.row_mut(i)[start..start + width].copy_from_slice(cols.row(i));
+        }
+    }
+    for i in 0..k {
+        for j in (i + 1)..k {
+            let s = 0.5 * (gram.get(i, j) + gram.get(j, i));
+            gram.set(i, j, s);
+            gram.set(j, i, s);
+        }
+    }
+    Ok(gram)
 }
 
 #[cfg(test)]
@@ -160,17 +171,20 @@ mod tests {
 
     #[test]
     fn matches_svd_small_on_dense() {
+        // Tall (`AᵀA` side) and wide (`AAᵀ` side) operators.
         let mut rng = StdRng::seed_from_u64(4);
-        let a = Mat::random(20, 6, &mut rng);
-        let svd = svd_small(&a).unwrap();
-        let mut u_ref = Mat::zeros(20, 2);
-        for j in 0..2 {
-            for i in 0..20 {
-                u_ref.set(i, j, svd.u.get(i, j));
+        for (m, n) in [(20, 6), (5, 30)] {
+            let a = Mat::random(m, n, &mut rng);
+            let svd = svd_small(&a).unwrap();
+            let mut u_ref = Mat::zeros(m, 2);
+            for j in 0..2 {
+                for i in 0..m {
+                    u_ref.set(i, j, svd.u.get(i, j));
+                }
             }
+            let u = leading_left_singular_vectors(&a, 2, &SubspaceOptions::default()).unwrap();
+            assert!(same_subspace(&u, &u_ref, 1e-9), "{m}x{n}");
         }
-        let u = leading_left_singular_vectors(&a, 2, &SubspaceOptions::default()).unwrap();
-        assert!(same_subspace(&u, &u_ref, 1e-6));
     }
 
     #[test]
@@ -179,6 +193,14 @@ mod tests {
         let a = Mat::random(30, 10, &mut rng);
         let u = leading_left_singular_vectors(&a, 4, &SubspaceOptions::default()).unwrap();
         assert!(u.gram().approx_eq(&Mat::identity(4), 1e-9));
+    }
+
+    #[test]
+    fn non_finite_operator_gives_non_finite_block() {
+        let a = Mat::from_rows(&[vec![1e200, 1e200], vec![1e200, -1e200], vec![0.0, 1.0]]).unwrap();
+        let u = leading_left_singular_vectors(&a, 1, &SubspaceOptions::default()).unwrap();
+        assert_eq!(u.shape(), (3, 1));
+        assert!(u.data().iter().all(|v| v.is_nan()));
     }
 
     #[test]

@@ -79,6 +79,14 @@ fn subspace_full_width_p_equals_n() {
 }
 
 #[test]
+fn subspace_of_zero_operator_is_orthonormal() {
+    // Every direction is optimal; the block must still be orthonormal.
+    let u =
+        leading_left_singular_vectors(&Mat::zeros(7, 3), 2, &SubspaceOptions::default()).unwrap();
+    assert!(u.gram().approx_eq(&Mat::identity(2), 1e-15));
+}
+
+#[test]
 fn subspace_on_rank_deficient_operator() {
     // Rank-1 matrix, ask for 1 vector: must recover the range direction.
     let mut a = Mat::zeros(6, 3);

@@ -4,8 +4,12 @@
 // policy only here).
 #![allow(clippy::unwrap_used)]
 
-use haten2_linalg::{householder_qr, pinv, svd_small, sym_eigen, Mat};
+use haten2_linalg::{
+    householder_qr, leading_left_singular_vectors, pinv, svd_small, sym_eigen, thin_qr, Mat,
+    SubspaceOptions,
+};
 use proptest::prelude::*;
+use rand::Rng;
 
 /// Strategy: a rows×cols matrix with entries in [-10, 10].
 fn mat_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Mat> {
@@ -15,6 +19,53 @@ fn mat_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Mat> {
 
 fn dims() -> impl Strategy<Value = (usize, usize)> {
     (1usize..8, 1usize..8)
+}
+
+/// Operator kinds for the singular-vector property.
+#[derive(Debug, Clone, Copy)]
+enum Spectrum {
+    /// Uniform random entries: distinct singular values.
+    Random,
+    /// `B C` with inner dimension `⌈k/2⌉`: rank-deficient.
+    RankDeficient,
+    /// `U₀ diag(s) V₀ᵀ` with each singular value repeated twice.
+    Repeated,
+}
+
+/// An `m × n` operator of the given kind.
+fn operator(m: usize, n: usize, kind: Spectrum, rng: &mut impl Rng) -> Mat {
+    let k = m.min(n);
+    match kind {
+        Spectrum::Random => Mat::random(m, n, rng),
+        Spectrum::RankDeficient => {
+            let r = k.div_ceil(2);
+            Mat::random(m, r, rng)
+                .matmul(&Mat::random(r, n, rng))
+                .unwrap()
+        }
+        Spectrum::Repeated => {
+            let u0 = thin_qr(&Mat::random(m, k, rng)).unwrap();
+            let v0 = thin_qr(&Mat::random(n, k, rng)).unwrap();
+            let mut us = u0;
+            for j in 0..k {
+                let s = (k / 2 - j / 2 + 1) as f64;
+                for i in 0..m {
+                    us.set(i, j, us.get(i, j) * s);
+                }
+            }
+            us.matmul(&v0.transpose()).unwrap()
+        }
+    }
+}
+
+fn spectrum() -> impl Strategy<Value = Spectrum> {
+    (0usize..3).prop_map(|i| {
+        [
+            Spectrum::Random,
+            Spectrum::RankDeficient,
+            Spectrum::Repeated,
+        ][i]
+    })
 }
 
 proptest! {
@@ -91,6 +142,32 @@ proptest! {
         for i in 0..k {
             let sv2 = svd.s[i] * svd.s[i];
             prop_assert!((sv2 - e.values[i].max(0.0)).abs() < 1e-6 * (1.0 + e.values[0].abs()));
+        }
+    }
+
+    #[test]
+    fn leading_singular_vectors_capture_the_top_energy(
+        (m, n) in (1usize..12, 1usize..12),
+        kind in spectrum(),
+        p_pick in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = operator(m, n, kind, &mut rng);
+        let k = m.min(n);
+        let sigma_sq: Vec<f64> = svd_small(&a).unwrap().s.iter().map(|s| s * s).collect();
+        // A random p and the full width p = min(m, n).
+        for p in [1 + p_pick % k, k] {
+            let u = leading_left_singular_vectors(&a, p, &SubspaceOptions::default()).unwrap();
+            prop_assert_eq!(u.shape(), (m, p));
+            prop_assert!(u.gram().approx_eq(&Mat::identity(p), 1e-12));
+            let captured = u.transpose().matmul(&a).unwrap().fro_norm().powi(2);
+            let optimal: f64 = sigma_sq[..p].iter().sum();
+            prop_assert!(
+                (captured - optimal).abs() <= 1e-10 * optimal,
+                "{m}x{n} {kind:?} p={p}: captured {captured}, optimal {optimal}"
+            );
         }
     }
 

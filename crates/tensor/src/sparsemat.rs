@@ -2,9 +2,9 @@
 //!
 //! The Tucker-ALS factor update needs the leading left singular vectors of
 //! `Y₍₁₎`, a tall sparse matrix. [`SparseMat`] implements
-//! [`haten2_linalg::LinOp`] so the subspace iteration can multiply by it and
-//! its transpose without densifying — mirroring how HaTen2 never
-//! materializes dense intermediates.
+//! [`haten2_linalg::LinOp`] so the small-side Gram eigensolve can build
+//! `YᵀY` from products with it and its transpose without densifying —
+//! mirroring how HaTen2 never materializes dense intermediates.
 
 use crate::{Result, TensorError};
 use haten2_linalg::{LinOp, LinalgError, Mat};
@@ -87,31 +87,6 @@ impl SparseMat {
         }
         Ok(m)
     }
-
-    /// Gram matrix `SᵀS` as a dense `cols × cols` matrix. Only valid when
-    /// `cols` is small (e.g. a matricized `I × QR` intermediate).
-    pub fn gram_dense(&self) -> Result<Mat> {
-        let c = self.cols as usize;
-        let mut g = Mat::zeros(c, c);
-        // Group by row and take outer products of each sparse row.
-        let mut start = 0;
-        while start < self.triples.len() {
-            let row = self.triples[start].0;
-            let mut end = start;
-            while end < self.triples.len() && self.triples[end].0 == row {
-                end += 1;
-            }
-            for a in start..end {
-                let (_, ca, va) = self.triples[a];
-                for b in start..end {
-                    let (_, cb, vb) = self.triples[b];
-                    g.add_at(ca as usize, cb as usize, va * vb);
-                }
-            }
-            start = end;
-        }
-        Ok(g)
-    }
 }
 
 fn build_row_ptr(rows: u64, sorted: &[(u64, u64, f64)]) -> Vec<usize> {
@@ -188,8 +163,7 @@ impl LinOp for SparseMat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haten2_linalg::leading_left_singular_vectors;
-    use haten2_linalg::SubspaceOptions;
+    use haten2_linalg::{leading_left_singular_vectors, svd_small, SubspaceOptions};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
@@ -247,37 +221,36 @@ mod tests {
         assert!(sparse_out.approx_eq(&dense_out, 1e-12));
     }
 
-    #[test]
-    fn gram_dense_matches_dense_gram() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut triples = Vec::new();
-        for _ in 0..40 {
-            triples.push((
-                rng.gen_range(0..12u64),
-                rng.gen_range(0..4u64),
-                rng.gen::<f64>(),
-            ));
-        }
-        let s = SparseMat::from_triples(12, 4, triples).unwrap();
-        let g = s.gram_dense().unwrap();
-        let d = s.to_dense().unwrap().gram();
-        assert!(g.approx_eq(&d, 1e-12));
+    /// `‖UᵀS‖²_F` and the sum of the `p` largest `σ²` of `S`'s dense copy.
+    fn captured_and_optimal_energy(s: &SparseMat, u: &Mat, p: usize) -> (f64, f64) {
+        let d = s.to_dense().unwrap();
+        let captured = u.transpose().matmul(&d).unwrap().fro_norm().powi(2);
+        let optimal = svd_small(&d).unwrap().s[..p].iter().map(|v| v * v).sum();
+        (captured, optimal)
     }
 
     #[test]
-    fn subspace_iteration_on_sparse_operator() {
-        // The whole point: extract singular vectors without densifying.
+    fn leading_singular_vectors_of_sparse_operator() {
+        // The whole point: extract singular vectors without densifying,
+        // on the tall (`YᵀY`) and the wide (`YYᵀ`) side.
         let mut rng = StdRng::seed_from_u64(11);
-        let mut triples = Vec::new();
-        for r in 0..40u64 {
-            for _ in 0..3 {
-                triples.push((r, rng.gen_range(0..6u64), rng.gen::<f64>() + 0.1));
+        for (rows, cols) in [(40u64, 6u64), (5, 12)] {
+            let mut triples = Vec::new();
+            for r in 0..rows {
+                for _ in 0..3 {
+                    triples.push((r, rng.gen_range(0..cols), rng.gen::<f64>() + 0.1));
+                }
             }
+            let s = SparseMat::from_triples(rows, cols, triples).unwrap();
+            let u = leading_left_singular_vectors(&s, 2, &SubspaceOptions::default()).unwrap();
+            assert_eq!(u.shape(), (rows as usize, 2));
+            assert!(u.gram().approx_eq(&Mat::identity(2), 1e-12));
+            let (captured, optimal) = captured_and_optimal_energy(&s, &u, 2);
+            assert!(
+                (captured - optimal).abs() <= 1e-10 * optimal,
+                "{rows}x{cols}: captured {captured}, optimal {optimal}"
+            );
         }
-        let s = SparseMat::from_triples(40, 6, triples).unwrap();
-        let u = leading_left_singular_vectors(&s, 2, &SubspaceOptions::default()).unwrap();
-        assert_eq!(u.shape(), (40, 2));
-        assert!(u.gram().approx_eq(&Mat::identity(2), 1e-8));
     }
 
     #[test]

@@ -79,6 +79,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench tests (not a workspace member, so library API breaks would pass the workspace suite)"
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
